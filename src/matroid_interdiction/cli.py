@@ -37,7 +37,7 @@ from .interdiction import (
 )
 from .matroid import ColoopError, GraphicMatroid
 from .oracle import compare, interdict_at, solve_bruteforce
-from .parametric import MatroidInstance, all_equality_points, parametric_min_basis
+from .parametric import MatroidInstance, parametric_min_basis
 from .pwl import pwl_equal
 from .rationals import ParamInterval, extended, format_rational
 
@@ -73,34 +73,33 @@ def _load(args) -> MatroidInstance:
 
 
 def _stats(inst: MatroidInstance, sol) -> dict:
-    k = inst.rank()
     schedule = parametric_min_basis(inst)
+    k = len(schedule.bases[0])
     candidates = find_candidates(inst)
-    per_window_ok = _interdiction_counts_ok(sol, candidates.lambdas(), k)
+    lambdas = candidates.lambdas()
     return {
         "m": inst.m,
         "k": k,
-        "equality_points": len(all_equality_points(inst)),
+        "equality_points": len(schedule.points),
         "candidates": len(candidates),
         "breakpoints_of_w": len(schedule.value.cuts),
         "changepoints_of_y": len(sol.value.cuts),
         "bound_2km": 2 * k * inst.m,
-        "bound_mk2_intervals_ok": per_window_ok,
+        "bound_mk2_intervals_ok": _overfull_window(sol, lambdas, k) is None,
     }
 
 
-def _interdiction_counts_ok(sol, lambdas, k) -> bool:
-    for i in range(len(lambdas) + 1):
-        lo = lambdas[i - 1] if i > 0 else None
-        hi = lambdas[i] if i < len(lambdas) else None
+def _overfull_window(sol, lambdas, k) -> list[Fraction] | None:
+    """The slope changes of the first candidate window holding more than k - 1."""
+    for lo, hi in zip([None] + lambdas, lambdas + [None]):
         inside = [
             c
             for c in sol.value.cuts
             if (lo is None or c > lo) and (hi is None or c < hi)
         ]
         if len(inside) > k - 1:
-            return False
-    return True
+            return inside
+    return None
 
 
 def cmd_solve(args) -> int:
@@ -158,19 +157,13 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
         )
     )
 
-    window_ok = _interdiction_counts_ok(naive, lambdas, k)
-    window_detail = ""
-    if not window_ok:
-        for lo, hi in zip([None] + lambdas, lambdas + [None]):
-            inside = [
-                c
-                for c in naive.value.cuts
-                if (lo is None or c > lo) and (hi is None or c < hi)
-            ]
-            if len(inside) > k - 1:
-                window_detail = f"{len(inside)} slope changes after {inside[0]}"
-                break
-    checks.append(("per-window slope changes at most k-1", window_ok, window_detail))
+    overfull = _overfull_window(naive, lambdas, k)
+    window_detail = (
+        f"{len(overfull)} slope changes after {overfull[0]}" if overfull else ""
+    )
+    checks.append(
+        ("per-window slope changes at most k-1", overfull is None, window_detail)
+    )
 
     slopes = [p.b for p in schedule.value.pieces]
     concave = all(nxt < prev for prev, nxt in zip(slopes, slopes[1:]))
@@ -235,6 +228,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if args.samples < 1:
+        print(
+            f"error: --samples must be at least 1, got {args.samples}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     inst = _load(args)
     if not inst.interval.is_bounded:
         print("error: plotting needs a bounded interval", file=sys.stderr)

@@ -19,6 +19,7 @@ collapse onto the plain optimum -- a handy self-test.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,6 +30,10 @@ from .parametric import (
     advance_min_basis,
     all_equality_points,
     group_by_lambda,
+    interior_crossings,
+    parametric_min_basis,
+    perturbed_bundle_order,
+    start_representative,
 )
 from .pwl import (
     EqualityPoint,
@@ -36,9 +41,8 @@ from .pwl import (
     PWLFunction,
     envelope_of_lines,
     envelope_of_pwl,
-    equality_point,
 )
-from .rationals import ParamInterval, extended, interior_point
+from .rationals import ParamInterval, extended
 from .solution import Solution, build_solution
 
 _FOLLOWS_MAIN = None  # sentinel line meaning "this element tracks the optimum"
@@ -57,63 +61,54 @@ def _checked_view(inst: MatroidInstance) -> MatroidView:
 def removal_value_functions(inst: MatroidInstance) -> dict[int, PWLFunction]:
     """For every element, the optimum of the instance with it removed.
 
-    One sweep over all crossings maintains the optimal basis and the deleted
-    optima of its members; at a lone crossing e->f at most rank+1 swap tests
-    run (one per maintained basis containing e but not f).  Elements outside
-    the optimal basis share the undeleted optimum, so their functions are the
-    plain value function itself.
+    The main basis comes from :func:`parametric_min_basis`.  One more walk
+    over the same crossings, in the same id-perturbed order, maintains the
+    deleted optima of the basis members.  Every crossing e->f, lone or part
+    of a coincident bundle, is handled as an isolated crossing of the
+    perturbed instance: at most rank swap tests run (one per maintained
+    deleted basis containing e but not f), and when the main basis swaps, e's
+    deleted optimum becomes the plain one and f's becomes the old basis.
+    Changes at one parameter value collapse into the last one.  Elements
+    outside the optimal basis share the undeleted optimum, so their
+    functions are the plain value function itself.
     """
-    view = _checked_view(inst)
-    interval = inst.interval
-    points = all_equality_points(inst)
-    groups = group_by_lambda(points)
-
-    if groups:
-        start_rep = interior_point(interval.lo, extended(groups[0][0]))
-    else:
-        start_rep = interval.representative()
-    weight_at = inst.weights_at(start_rep)
-
-    basis = view.greedy_min_basis(weight_at)
+    schedule = parametric_min_basis(inst)
+    basis = schedule.bases[0]
+    if not basis:
+        raise ValueError("rank-0 instance: there is nothing to interdict")
+    view = inst.view()
+    weight_at = inst.weights_at(start_representative(inst.interval, schedule.points))
     deleted_views = {g: view.delete(g) for g in basis}
     deleted_bases = {g: deleted_views[g].greedy_min_basis(weight_at) for g in basis}
 
-    main_line = inst.basis_line(basis)
-    main_transitions: list[tuple[Fraction | None, LinearFn]] = [(None, main_line)]
     own_transitions: dict[int, list[tuple[Fraction | None, LinearFn | None]]] = {
         e: [(None, inst.basis_line(deleted_bases[e]) if e in basis else _FOLLOWS_MAIN)]
         for e in range(inst.m)
     }
 
     def record_own(e: int, lam: Fraction, line: LinearFn | None):
-        own_transitions[e].append((lam, line))
+        transitions = own_transitions[e]
+        if transitions[-1][0] == lam:
+            transitions.pop()  # a zero-width span inside a bundle
+        transitions.append((lam, line))
 
-    for idx, (lam, group) in enumerate(groups):
-        right_end = (
-            extended(groups[idx + 1][0]) if idx + 1 < len(groups) else interval.hi
-        )
-        right_rep = interior_point(extended(lam), right_end)
-        if len(group) == 1:
-            pt = group[0]
+    # Each pair crosses once, so (value, swap) identifies a main-basis swap.
+    old_basis_at = {
+        (cut, swap): old
+        for cut, swap, old in zip(schedule.cuts, schedule.swaps, schedule.bases)
+    }
+    for lam, group in group_by_lambda(schedule.points):
+        for pt in perturbed_bundle_order(group, inst.weights):
             e, f = pt.lighter_before, pt.lighter_after
-            swapped_members = []
             for g, basis_g in deleted_bases.items():
                 if g == f or e not in basis_g or f in basis_g:
                     continue
                 candidate = [x for x in basis_g if x != e] + [f]
                 if deleted_views[g].is_independent(candidate):
-                    swapped_members.append((g, frozenset(candidate)))
-            new_basis, records = advance_min_basis(
-                view, basis, group, right_rep, inst.weights_at, inst.weights
-            )
-            for g, swapped in swapped_members:
-                deleted_bases[g] = swapped
-                record_own(g, lam, inst.basis_line(swapped))
-            if records:
-                old_basis = basis
-                basis = new_basis
-                main_line = inst.basis_line(basis)
-                main_transitions.append((lam, main_line))
+                    deleted_bases[g] = frozenset(candidate)
+                    record_own(g, lam, inst.basis_line(deleted_bases[g]))
+            old_basis = old_basis_at.get((lam, (e, f)))
+            if old_basis is not None:
                 # e leaves: its deleted optimum now coincides with the plain
                 # optimum; f enters: its deleted optimum is the old basis.
                 del deleted_bases[e]
@@ -122,84 +117,38 @@ def removal_value_functions(inst: MatroidInstance) -> dict[int, PWLFunction]:
                 deleted_views[f] = view.delete(f)
                 deleted_bases[f] = old_basis
                 record_own(f, lam, inst.basis_line(old_basis))
-        else:
-            # A coincident bundle: recompute every maintained optimum from
-            # scratch just right of it.  Provably correct and only as slow as
-            # the instance is degenerate.
-            weight_right = inst.weights_at(right_rep)
-            new_basis = view.greedy_min_basis(weight_right)
-            if new_basis != basis:
-                main_line = inst.basis_line(new_basis)
-                main_transitions.append((lam, main_line))
-            for g in sorted(basis - new_basis):
-                del deleted_bases[g]
-                del deleted_views[g]
-                record_own(g, lam, _FOLLOWS_MAIN)
-            for g in sorted(new_basis - basis):
-                deleted_views[g] = view.delete(g)
-                deleted_bases[g] = deleted_views[g].greedy_min_basis(weight_right)
-                record_own(g, lam, inst.basis_line(deleted_bases[g]))
-            for g in sorted(basis & new_basis):
-                refreshed = deleted_views[g].greedy_min_basis(weight_right)
-                old_line = inst.basis_line(deleted_bases[g])
-                new_line = inst.basis_line(refreshed)
-                deleted_bases[g] = refreshed
-                if new_line != old_line:
-                    record_own(g, lam, new_line)
-            basis = new_basis
 
-    main_fn = _assemble(interval, main_transitions, None)
     out: dict[int, PWLFunction] = {}
     for e in range(inst.m):
         transitions = own_transitions[e]
         if all(line is _FOLLOWS_MAIN for _, line in transitions):
-            out[e] = main_fn
+            out[e] = schedule.value
         else:
-            out[e] = _assemble(interval, transitions, main_transitions)
+            out[e] = _assemble(transitions, schedule.value)
     return out
 
 
 def _assemble(
-    interval: ParamInterval,
     transitions: Sequence[tuple[Fraction | None, LinearFn | None]],
-    main_transitions: Sequence[tuple[Fraction | None, LinearFn]] | None,
+    main: PWLFunction,
 ) -> PWLFunction:
     """Splice explicit line spans with spans that track the main optimum."""
     cuts: list[Fraction] = []
     pieces: list[LinearFn] = []
-
-    def emit(start: Fraction | None, line: LinearFn):
-        if pieces:
-            assert start is not None
+    for i, (start, line) in enumerate(transitions):
+        if start is not None:
             cuts.append(start)
-        pieces.append(line)
-
-    spans = list(transitions)
-    for i, (start, line) in enumerate(spans):
-        end = spans[i + 1][0] if i + 1 < len(spans) else None
         if line is not _FOLLOWS_MAIN:
-            emit(start, line)
+            pieces.append(line)
             continue
-        assert main_transitions is not None
-        start_ext = interval.lo if start is None else extended(start)
-        end_ext = interval.hi if end is None else extended(end)
-        first_in_span = True
-        for j, (mstart, mline) in enumerate(main_transitions):
-            mend = (
-                extended(main_transitions[j + 1][0])
-                if j + 1 < len(main_transitions)
-                else interval.hi
-            )
-            mstart_ext = interval.lo if mstart is None else extended(mstart)
-            if mend <= start_ext or mstart_ext >= end_ext:
-                continue
-            if first_in_span:
-                emit(start, mline)
-                first_in_span = False
-            else:
-                assert mstart is not None
-                emit(mstart, mline)
-    return PWLFunction.build(interval, cuts, pieces)
+        end = transitions[i + 1][0] if i + 1 < len(transitions) else None
+        first = 0 if start is None else bisect_right(main.cuts, start)
+        last = len(main.cuts) if end is None else bisect_left(main.cuts, end)
+        pieces.append(main.pieces[first])
+        for j in range(first + 1, last + 1):
+            cuts.append(main.cuts[j - 1])
+            pieces.append(main.pieces[j])
+    return PWLFunction.build(main.domain, cuts, pieces)
 
 
 def solve_naive(inst: MatroidInstance) -> Solution:
@@ -270,33 +219,22 @@ def find_candidates(inst: MatroidInstance) -> CandidateSet:
     """
     view = inst.view()
     m = inst.m
-    crossing: dict[tuple[int, int], Fraction | None] = {}
-    in_window: list[EqualityPoint] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            pt = equality_point(i, inst.weights[i], j, inst.weights[j])
-            crossing[(i, j)] = pt.lam if pt is not None else None
-            crossing[(j, i)] = pt.lam if pt is not None else None
-            if pt is not None and inst.interval.strictly_inside(pt.lam):
-                in_window.append(pt)
-    in_window.sort(key=lambda p: (p.lam, p.lighter_before, p.lighter_after))
-
-    if in_window:
-        start_rep = interior_point(inst.interval.lo, extended(in_window[0].lam))
-    else:
-        start_rep = inst.interval.representative()
-    weight_at = inst.weights_at(start_rep)
+    weights = inst.weights
+    in_window = interior_crossings(inst)
+    weight_at = inst.weights_at(start_representative(inst.interval, in_window))
 
     active: list[set[int]] = []
     bases: list[set[int]] = []
     comps = []
     for e in range(m):
+        # f is cheaper at the start and never crosses back above e: the lines
+        # are parallel or they already crossed left of the start.
         grown = {
             f
             for f in range(m)
             if f != e
             and weight_at(f) < weight_at(e)
-            and (crossing[(e, f)] is None or crossing[(e, f)] < start_rep)
+            and weights[f].b <= weights[e].b
         }
         active.append(grown)
         builder = inst.backend.builder()
@@ -327,8 +265,8 @@ def solve_intervals(inst: MatroidInstance) -> Solution:
 
     Inside a window the optimal basis is fixed, so each basis member's
     removal optimum is one line: basis minus member plus its replacement
-    element.  The window's interdicted optimum is the upper envelope of those
-    rank-many lines; only basis members can be most vital.
+    element.  Every other element's removal optimum is the plain basis line.
+    The window's interdicted optimum is the upper envelope of those lines.
     """
     view = _checked_view(inst)
     candidates = find_candidates(inst)
@@ -376,6 +314,12 @@ def solve_intervals(inst: MatroidInstance) -> Solution:
                     + inst.weight_fn(replacement),
                 )
             )
+        # Removing any element outside the basis leaves the plain optimum; the
+        # smallest such id stands for all of them in the envelope's tie-break,
+        # so labels match a sweep over every element.
+        outside = min(set(range(inst.m)) - basis, default=None)
+        if outside is not None:
+            lines.append((outside, inst.basis_line(basis)))
         local = envelope_of_lines(lines, window)
         for j, piece in enumerate(local.pieces):
             if pieces:

@@ -5,11 +5,14 @@ resulting optimal value function is piecewise linear and concave, and its
 slope can only change where two element weights become equal.  The sweep here
 walks those crossing points in order, applying one tested swap per point.
 
-Coincident crossings (several pairs meeting at the same parameter value) are
-processed in deterministic (value, id, id) order; the semantics are those of
-an instance perturbed so that ties resolve by element id.  After any such
-bundle the basis is recomputed from scratch and checked against the recorded
-swaps, so a degenerate bundle can never silently corrupt the schedule.
+Coincident crossings (several pairs meeting at the same parameter value, a
+"bundle") take the same path as lone ones: the bundle is walked point by
+point in the order of an instance perturbed so that ties resolve by element
+id, which makes every step an isolated crossing of the perturbed instance.
+The removal sweep in :mod:`.interdiction` walks the crossings in that same
+order and reuses this schedule instead of tracking the main basis itself.
+After each bundle the basis is checked once against a fresh greedy run, so a
+degenerate bundle can never silently corrupt the schedule.
 """
 
 from __future__ import annotations
@@ -72,12 +75,12 @@ class MatroidInstance:
         return sum_lines(self.weights[e] for e in basis)
 
 
-def all_equality_points(inst: MatroidInstance) -> list[EqualityPoint]:
+def interior_crossings(inst: MatroidInstance) -> list[EqualityPoint]:
     """All directed crossings strictly inside the instance interval.
 
     Sorted by (value, lighter-before id, lighter-after id).  Crossings shared
-    by several pairs are kept and additionally reported through the warning
-    channel, since they mark a degenerate (tied) instance.
+    by several pairs are kept; unlike :func:`all_equality_points` this emits
+    no warning about them.
     """
     points = []
     for i, j in combinations(range(inst.m), 2):
@@ -85,11 +88,17 @@ def all_equality_points(inst: MatroidInstance) -> list[EqualityPoint]:
         if pt is not None and inst.interval.strictly_inside(pt.lam):
             points.append(pt)
     points.sort(key=lambda p: (p.lam, p.lighter_before, p.lighter_after))
-    coincident = sum(
-        1
-        for _, group in groupby(points, key=lambda p: p.lam)
-        if len(list(group)) > 1
-    )
+    return points
+
+
+def all_equality_points(inst: MatroidInstance) -> list[EqualityPoint]:
+    """:func:`interior_crossings`, reporting coincident ones as a warning.
+
+    Crossings shared by several pairs mark a degenerate (tied) instance, so
+    they are additionally reported through the warning channel.
+    """
+    points = interior_crossings(inst)
+    coincident = sum(1 for _, group in group_by_lambda(points) if len(group) > 1)
     if coincident:
         warnings.warn(
             f"{coincident} parameter value(s) carry more than one crossing; "
@@ -106,6 +115,15 @@ def group_by_lambda(
     return [
         (lam, list(group)) for lam, group in groupby(points, key=lambda p: p.lam)
     ]
+
+
+def start_representative(
+    interval: ParamInterval, points: Sequence[EqualityPoint]
+) -> Fraction:
+    """A parameter value inside ``interval`` left of every sorted crossing."""
+    if points:
+        return interior_point(interval.lo, extended(points[0].lam))
+    return interval.representative()
 
 
 @dataclass(frozen=True)
@@ -196,13 +214,15 @@ class BasisSchedule:
 
     ``cuts[i]`` carries ``swaps[i]`` and switches from ``bases[i]`` to
     ``bases[i+1]``.  Coincident crossings can repeat a cut value; the value
-    function skips the resulting zero-width pieces.
+    function skips the resulting zero-width pieces.  ``points`` are the
+    sorted crossings the sweep walked (see :func:`interior_crossings`).
     """
 
     cuts: tuple[Fraction, ...]
     bases: tuple[frozenset[int], ...]
     swaps: tuple[tuple[int, int], ...]
     value: PWLFunction
+    points: tuple[EqualityPoint, ...]
 
 
 def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
@@ -221,10 +241,7 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     groups = group_by_lambda(points)
     interval = inst.interval
 
-    if groups:
-        start_rep = interior_point(interval.lo, extended(groups[0][0]))
-    else:
-        start_rep = interval.representative()
+    start_rep = start_representative(interval, points)
     basis = view.greedy_min_basis(inst.weights_at(start_rep))
 
     cuts: list[Fraction] = []
@@ -245,7 +262,7 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     slopes = [p.b for p in value.pieces]
     if any(nxt >= prev for prev, nxt in zip(slopes, slopes[1:])):
         raise AssertionError("optimal value function is not concave")
-    return BasisSchedule(tuple(cuts), tuple(bases), tuple(swaps), value)
+    return BasisSchedule(tuple(cuts), tuple(bases), tuple(swaps), value, tuple(points))
 
 
 def _schedule_value(

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from matroid_interdiction import solve_naive
 from matroid_interdiction.cli import main
 
@@ -193,6 +195,15 @@ class TestPlot:
         out = tmp_path / "plot.csv"
         assert main(["plot", "--in", instance_file(data), "--out", str(out)]) == 1
         assert "bounded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_1(self, instance_file, tmp_path, capsys, samples):
+        out = tmp_path / "plot.csv"
+        assert main([
+            "plot", "--in", instance_file(P2), "--samples", samples, "--out", str(out)
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error: --samples")
+        assert not out.exists()
 
 
 class TestDouble:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from matroid_interdiction import (
     GraphicMatroid,
     LinearFn,
     MatroidInstance,
+    MatroidView,
     ParamInterval,
     UniformMatroid,
     all_equality_points,
@@ -54,6 +56,24 @@ class TestRemovalValueFunctions:
     def test_rejects_coloops(self, bridge):
         with pytest.raises(ColoopError):
             removal_value_functions(bridge)
+
+    def test_bundles_cost_one_greedy_check_each(self, monkeypatch):
+        # Coincident crossings take the lone-crossing path: one greedy run for
+        # the start basis, one per deleted basis, one check per bundle.
+        inst = random_graphic(random.Random(109), n_range=(6, 6), m_max=12, coeff=2)
+        greedy = MatroidView.greedy_min_basis
+        calls = []
+
+        def counted(view, weight_at):
+            calls.append(view)
+            return greedy(view, weight_at)
+
+        monkeypatch.setattr(MatroidView, "greedy_min_basis", counted)
+        removal_value_functions(inst)
+        per_value = Counter(pt.lam for pt in all_equality_points(inst))
+        bundles = sum(1 for count in per_value.values() if count > 1)
+        assert bundles > 0
+        assert len(calls) <= 1 + inst.rank() + bundles
 
     def test_matches_per_point_bruteforce(self):
         rng = random.Random(71)
