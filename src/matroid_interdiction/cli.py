@@ -8,7 +8,7 @@ Verbs:
 * ``double``     -- emit the parallel-twin double of an instance
 * ``candidates`` -- list the candidate crossings with their case tags
 
-Exit codes: 0 success, 1 input error, 2 assumption violation (coloops
+Exit codes: 0 success, 1 input or usage error, 2 assumption violation (coloops
 present), 3 a check failed.  Output files are byte-identical across runs on
 the same input; there is no timestamping and no parallelism.
 """
@@ -31,13 +31,15 @@ from .interdiction import (
     doubled_graphic_instance,
     doubled_instance,
     find_candidates,
+    naive_solution,
     removal_value_functions,
     solve_intervals,
     solve_naive,
+    window_solution,
 )
 from .matroid import ColoopError, GraphicMatroid
 from .oracle import compare, interdict_at, solve_bruteforce
-from .parametric import MatroidInstance, parametric_min_basis
+from .parametric import MatroidInstance, interior_crossings, parametric_min_basis
 from .pwl import pwl_equal
 from .rationals import ParamInterval, extended, format_rational
 
@@ -47,9 +49,11 @@ EXIT_COLOOPS = 2
 EXIT_CHECK_FAILED = 3
 
 _SOLVERS = {
-    "naive": solve_naive,
-    "intervals": solve_intervals,
-    "oracle": solve_bruteforce,
+    "naive": lambda inst, schedule, candidates: naive_solution(
+        inst, removal_value_functions(inst, schedule)
+    ),
+    "intervals": lambda inst, schedule, candidates: window_solution(inst, candidates),
+    "oracle": lambda inst, schedule, candidates: solve_bruteforce(inst),
 }
 
 
@@ -72,11 +76,16 @@ def _load(args) -> MatroidInstance:
     return inst
 
 
-def _stats(inst: MatroidInstance, sol) -> dict:
+def _solve(algorithm: str, inst: MatroidInstance):
+    """The plain schedule, the candidates and the solution built from them, once."""
     schedule = parametric_min_basis(inst)
+    candidates = find_candidates(inst, schedule.points)
+    return schedule, candidates, _SOLVERS[algorithm](inst, schedule, candidates)
+
+
+def _stats(inst: MatroidInstance, schedule, candidates, sol) -> dict:
     k = len(schedule.bases[0])
-    candidates = find_candidates(inst)
-    lambdas = candidates.lambdas()
+    overfull = _overfull_window(sol, candidates.lambdas(), k)
     return {
         "m": inst.m,
         "k": k,
@@ -85,7 +94,7 @@ def _stats(inst: MatroidInstance, sol) -> dict:
         "breakpoints_of_w": len(schedule.value.cuts),
         "changepoints_of_y": len(sol.value.cuts),
         "bound_2km": 2 * k * inst.m,
-        "bound_mk2_intervals_ok": _overfull_window(sol, lambdas, k) is None,
+        "bound_mk2_intervals_ok": overfull is None,
     }
 
 
@@ -104,20 +113,22 @@ def _overfull_window(sol, lambdas, k) -> list[Fraction] | None:
 
 def cmd_solve(args) -> int:
     inst = _load(args)
-    solution = _SOLVERS[args.algorithm](inst)
-    payload = dump_solution(inst, solution, _stats(inst, solution))
+    schedule, candidates, sol = _solve(args.algorithm, inst)
+    payload = dump_solution(inst, sol, _stats(inst, schedule, candidates, sol))
     with open(args.outfile, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    print(f"wrote {args.outfile}: {len(solution.segments)} segment(s)")
+    print(f"wrote {args.outfile}: {len(sol.segments)} segment(s)")
     return EXIT_OK
 
 
 def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
-    naive = solve_naive(inst)
+    schedule = parametric_min_basis(inst)
+    removal = removal_value_functions(inst, schedule)
+    naive = naive_solution(inst, removal)
     intervals = solve_intervals(inst)
     brute = solve_bruteforce(inst)
-    k = inst.rank()
+    k = len(schedule.bases[0])
     checks: list[tuple[str, bool, str]] = []
 
     for name, left, right in (
@@ -132,7 +143,7 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
             detail = f"first divergence at {lam}: {lhs} vs {rhs}"
         checks.append((f"solver agreement: {name}", report.ok, detail))
 
-    candidates = find_candidates(inst)
+    candidates = find_candidates(inst, schedule.points)
     bound = 2 * k * inst.m
     checks.append(
         (
@@ -142,8 +153,6 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
         )
     )
 
-    schedule = parametric_min_basis(inst)
-    removal = removal_value_functions(inst)
     lambdas = candidates.lambdas()
     candidate_set = set(lambdas)
     missing = [c for c in schedule.value.cuts if c not in candidate_set]
@@ -238,8 +247,7 @@ def cmd_plot(args) -> int:
     if not inst.interval.is_bounded:
         print("error: plotting needs a bounded interval", file=sys.stderr)
         return EXIT_INPUT
-    solution = _SOLVERS[args.algorithm](inst)
-    schedule = parametric_min_basis(inst)
+    schedule, _, solution = _solve(args.algorithm, inst)
     lo, hi = inst.interval.lo.value, inst.interval.hi.value
     samples = [lo + Fraction(i * (hi - lo), args.samples) for i in range(args.samples + 1)]
     rows = sorted(list(solution.value.cuts) + samples)
@@ -273,7 +281,7 @@ def cmd_double(args) -> int:
 
 def cmd_candidates(args) -> int:
     inst = _load(args)
-    candidates = find_candidates(inst)
+    candidates = find_candidates(inst, interior_crossings(inst))
     print("lambda\tcrossing\tcases")
     for entry in candidates.entries:
         pt = entry.point
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--interval",
             default="-10:10",
-            help="parameter interval LO:HI for DIMACS inputs",
+            help="DIMACS parameter interval LO:HI; a negative LO needs --interval=-5:5",
         )
 
     p_solve = sub.add_parser("solve", help="solve one instance")
@@ -335,8 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except ColoopError as exc:

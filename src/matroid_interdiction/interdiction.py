@@ -1,16 +1,17 @@
 """Solvers for the parametric one-interdiction problem.
 
-Two exact routes to the optimal interdiction value function:
+Two exact routes to the optimal interdiction value function, each an
+assembler over artifacts that are built once per instance and passed down:
 
-* :func:`solve_naive` sweeps all crossings once, maintaining the optimal
-  basis plus one deleted-element optimum per basis member (every other
-  deleted-element optimum coincides with the undeleted one), and takes the
-  upper envelope of the resulting per-element value functions.
-* :func:`solve_intervals` first narrows the crossings down to a small
-  candidate set (rank growth or singleton-component absorption in growing
-  restrictions), then solves each candidate window independently from the
-  basis and its replacement elements, and stitches the windows together.
+* :func:`naive_solution` envelopes the :func:`removal_value_functions`, which
+  walk the plain schedule's crossings once more, maintaining the optimum with
+  each basis member deleted (every other deleted optimum is the plain one).
+* :func:`window_solution` solves each window between the crossings that
+  :func:`find_candidates` keeps (rank growth or singleton-component
+  absorption in growing restrictions) from the basis and its replacement
+  elements, and stitches the windows together.
 
+:func:`solve_naive` and :func:`solve_intervals` compose them from an instance.
 Both refuse instances with coloops: interdicting such an element makes the
 objective infinite, so the problem degenerates.  :func:`doubled_instance`
 adds a parallel twin per element, which forces the interdicted optimum to
@@ -24,13 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .matroid import ColoopError, DoubledMatroid, GraphicMatroid, MatroidView
+from .matroid import DoubledMatroid, GraphicMatroid
 from .parametric import (
+    RANK_ZERO,
+    BasisSchedule,
     MatroidInstance,
     advance_min_basis,
     all_equality_points,
+    checked_view,
     group_by_lambda,
-    interior_crossings,
     parametric_min_basis,
     perturbed_bundle_order,
     start_representative,
@@ -48,34 +51,26 @@ from .solution import Solution, build_solution
 _FOLLOWS_MAIN = None  # sentinel line meaning "this element tracks the optimum"
 
 
-def _checked_view(inst: MatroidInstance) -> MatroidView:
-    view = inst.view()
-    coloops = view.coloop_scan()
-    if coloops:
-        raise ColoopError(coloops)
-    if view.rank() == 0:
-        raise ValueError("rank-0 instance: there is nothing to interdict")
-    return view
-
-
-def removal_value_functions(inst: MatroidInstance) -> dict[int, PWLFunction]:
+def removal_value_functions(
+    inst: MatroidInstance, schedule: BasisSchedule
+) -> dict[int, PWLFunction]:
     """For every element, the optimum of the instance with it removed.
 
-    The main basis comes from :func:`parametric_min_basis`.  One more walk
-    over the same crossings, in the same id-perturbed order, maintains the
-    deleted optima of the basis members.  Every crossing e->f, lone or part
-    of a coincident bundle, is handled as an isolated crossing of the
-    perturbed instance: at most rank swap tests run (one per maintained
-    deleted basis containing e but not f), and when the main basis swaps, e's
-    deleted optimum becomes the plain one and f's becomes the old basis.
-    Changes at one parameter value collapse into the last one.  Elements
-    outside the optimal basis share the undeleted optimum, so their
-    functions are the plain value function itself.
+    The main basis comes from ``schedule``, the instance's
+    :func:`parametric_min_basis`.  One more walk over its crossings, in the
+    same id-perturbed order, maintains the deleted optima of the basis
+    members.  Every crossing e->f, lone or part of a coincident bundle, is
+    handled as an isolated crossing of the perturbed instance: at most rank
+    swap tests run (one per maintained deleted basis containing e but not f),
+    and when the main basis swaps, e's deleted optimum becomes the plain one
+    and f's becomes the old basis.  Changes at one parameter value collapse
+    into the last one.  Elements outside the optimal basis share the
+    undeleted optimum, so their functions are the plain value function
+    itself.  Coloops are refused by the schedule; rank 0 is refused here.
     """
-    schedule = parametric_min_basis(inst)
     basis = schedule.bases[0]
     if not basis:
-        raise ValueError("rank-0 instance: there is nothing to interdict")
+        raise ValueError(RANK_ZERO)
     view = inst.view()
     weight_at = inst.weights_at(start_representative(inst.interval, schedule.points))
     deleted_views = {g: view.delete(g) for g in basis}
@@ -152,8 +147,13 @@ def _assemble(
 
 
 def solve_naive(inst: MatroidInstance) -> Solution:
-    """Upper envelope of all removal value functions."""
-    removal = removal_value_functions(inst)
+    """The full sweep: the envelope of every element's removal optimum."""
+    schedule = parametric_min_basis(inst)
+    return naive_solution(inst, removal_value_functions(inst, schedule))
+
+
+def naive_solution(inst: MatroidInstance, removal: dict[int, PWLFunction]) -> Solution:
+    """Upper envelope of the :func:`removal_value_functions` ``removal``."""
     # Many elements share the plain optimum object; feed each distinct
     # function once with its smallest owning label.
     by_identity: dict[int, tuple[int, PWLFunction]] = {}
@@ -188,13 +188,10 @@ class CandidateEntry:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Sound superset of every slope change of the value functions."""
+    """Sound superset of all slope changes, and the sorted crossings it filtered."""
 
     entries: tuple[CandidateEntry, ...]
-
-    @property
-    def points(self) -> tuple[EqualityPoint, ...]:
-        return tuple(entry.point for entry in self.entries)
+    crossings: tuple[EqualityPoint, ...]
 
     def lambdas(self) -> list[Fraction]:
         return sorted({entry.point.lam for entry in self.entries})
@@ -203,8 +200,12 @@ class CandidateSet:
         return len(self.entries)
 
 
-def find_candidates(inst: MatroidInstance) -> CandidateSet:
+def find_candidates(
+    inst: MatroidInstance, crossings: Sequence[EqualityPoint]
+) -> CandidateSet:
     """Filter the crossings down to at most ``2 * rank * m`` candidates.
+
+    ``crossings`` are the sorted interior crossings, e.g. a schedule's ``points``.
 
     For each element ``e`` the sweep grows the set of elements that are both
     cheaper than ``e`` and past their crossing with it.  A crossing e->f is
@@ -220,8 +221,7 @@ def find_candidates(inst: MatroidInstance) -> CandidateSet:
     view = inst.view()
     m = inst.m
     weights = inst.weights
-    in_window = interior_crossings(inst)
-    weight_at = inst.weights_at(start_representative(inst.interval, in_window))
+    weight_at = inst.weights_at(start_representative(inst.interval, crossings))
 
     active: list[set[int]] = []
     bases: list[set[int]] = []
@@ -242,7 +242,7 @@ def find_candidates(inst: MatroidInstance) -> CandidateSet:
         comps.append(view.restrict(grown).components())
 
     entries: list[CandidateEntry] = []
-    for pt in in_window:
+    for pt in crossings:
         e, f = pt.lighter_before, pt.lighter_after
         by_rank = view.is_independent(bases[e] | {f})
         if by_rank:
@@ -257,10 +257,15 @@ def find_candidates(inst: MatroidInstance) -> CandidateSet:
         )
         if by_rank or by_singleton:
             entries.append(CandidateEntry(pt, by_rank, by_singleton))
-    return CandidateSet(tuple(entries))
+    return CandidateSet(tuple(entries), tuple(crossings))
 
 
 def solve_intervals(inst: MatroidInstance) -> Solution:
+    """The paper's route: filter the crossings, then solve every window."""
+    return window_solution(inst, find_candidates(inst, all_equality_points(inst)))
+
+
+def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution:
     """Solve each window between candidate crossings, then stitch.
 
     Inside a window the optimal basis is fixed, so each basis member's
@@ -268,17 +273,12 @@ def solve_intervals(inst: MatroidInstance) -> Solution:
     element.  Every other element's removal optimum is the plain basis line.
     The window's interdicted optimum is the upper envelope of those lines.
     """
-    view = _checked_view(inst)
-    candidates = find_candidates(inst)
+    view = checked_view(inst)
     lambdas = candidates.lambdas()
     # Advance across a candidate value with every crossing that shares it:
     # under heavy ties the pair that actually swaps the basis need not be the
     # flagged candidate from the same bundle.
-    candidate_values = set(lambdas)
-    points_at: dict[Fraction, list[EqualityPoint]] = {}
-    for pt in all_equality_points(inst):
-        if pt.lam in candidate_values:
-            points_at.setdefault(pt.lam, []).append(pt)
+    points_at = dict(group_by_lambda(candidates.crossings))
 
     bounds = [inst.interval.lo] + [extended(l) for l in lambdas] + [inst.interval.hi]
     windows = [
@@ -290,36 +290,25 @@ def solve_intervals(inst: MatroidInstance) -> Solution:
     pieces: list[LinearFn] = []
     labels: list[int] = []
     for i, window in enumerate(windows):
-        if i > 0:
-            lam = lambdas[i - 1]
-            basis, _ = advance_min_basis(
-                view,
-                basis,
-                points_at[lam],
-                window.representative(),
-                inst.weights_at,
-                inst.weights,
-            )
         rep = window.representative()
+        if i > 0:
+            group = points_at[lambdas[i - 1]]
+            basis, _ = advance_min_basis(
+                view, basis, group, rep, inst.weights_at, inst.weights
+            )
         weight_at = inst.weights_at(rep)
+        plain = inst.basis_line(basis)
         lines = []
         for e in sorted(basis):
             replacement = view.replacement_element(basis, e, weight_at)
             assert replacement is not None
-            lines.append(
-                (
-                    e,
-                    inst.basis_line(basis)
-                    - inst.weight_fn(e)
-                    + inst.weight_fn(replacement),
-                )
-            )
+            lines.append((e, plain - inst.weight_fn(e) + inst.weight_fn(replacement)))
         # Removing any element outside the basis leaves the plain optimum; the
         # smallest such id stands for all of them in the envelope's tie-break,
         # so labels match a sweep over every element.
         outside = min(set(range(inst.m)) - basis, default=None)
         if outside is not None:
-            lines.append((outside, inst.basis_line(basis)))
+            lines.append((outside, plain))
         local = envelope_of_lines(lines, window)
         for j, piece in enumerate(local.pieces):
             if pieces:

@@ -1,9 +1,10 @@
 """Brute-force reference solver and solution comparator.
 
 This module is the trust anchor: it never touches the sweep machinery in
-:mod:`.interdiction` (only the matroid oracle and the envelope primitives),
-and it deliberately considers every element as an interdiction target in
-every window instead of exploiting the fact that only basis members matter.
+:mod:`.interdiction` (only the matroid oracle, the envelope primitives and
+the shared interdiction precondition), and it deliberately considers every
+element as an interdiction target in every window instead of exploiting the
+fact that only basis members matter.
 A disagreement with the fast solvers therefore localizes bugs in whichever
 structural shortcut they rely on.
 """
@@ -14,21 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .matroid import ColoopError
-from .parametric import MatroidInstance
+from .parametric import MatroidInstance, checked_view
 from .pwl import envelope_of_lines, equality_point, pwl_equal, PWLFunction
 from .rationals import ParamInterval, extended
 from .solution import Solution, build_solution
-
-
-def _checked_view(inst: MatroidInstance):
-    view = inst.view()
-    coloops = view.coloop_scan()
-    if coloops:
-        raise ColoopError(coloops)
-    if view.rank() == 0:
-        raise ValueError("rank-0 instance: there is nothing to interdict")
-    return view
 
 
 def interdict_at(inst: MatroidInstance, lam: Fraction) -> tuple[Fraction, int]:
@@ -39,7 +29,7 @@ def interdict_at(inst: MatroidInstance, lam: Fraction) -> tuple[Fraction, int]:
     """
     if not inst.interval.contains(lam):
         raise ValueError(f"{lam} outside {inst.interval}")
-    view = _checked_view(inst)
+    view = checked_view(inst)
     weight_at = inst.weights_at(lam)
     best_value: Fraction | None = None
     best_element = -1
@@ -61,7 +51,7 @@ def solve_bruteforce(inst: MatroidInstance) -> Solution:
     fresh greedy run at the window's interior point.  The window envelope
     ranges over all elements, not just basis members.
     """
-    view = _checked_view(inst)
+    view = checked_view(inst)
     crossings = sorted(
         {
             pt.lam

@@ -9,8 +9,8 @@ Coincident crossings (several pairs meeting at the same parameter value, a
 "bundle") take the same path as lone ones: the bundle is walked point by
 point in the order of an instance perturbed so that ties resolve by element
 id, which makes every step an isolated crossing of the perturbed instance.
-The removal sweep in :mod:`.interdiction` walks the crossings in that same
-order and reuses this schedule instead of tracking the main basis itself.
+The removal sweep in :mod:`.interdiction` is handed this schedule and walks
+its crossings in the same order instead of tracking the main basis itself.
 After each bundle the basis is checked once against a fresh greedy run, so a
 degenerate bundle can never silently corrupt the schedule.
 """
@@ -73,6 +73,20 @@ class MatroidInstance:
 
     def basis_line(self, basis: frozenset[int]) -> LinearFn:
         return sum_lines(self.weights[e] for e in basis)
+
+
+RANK_ZERO = "rank-0 instance: there is nothing to interdict"
+
+
+def checked_view(inst: MatroidInstance) -> MatroidView:
+    """The full view, after the interdiction precondition: no coloops, rank > 0."""
+    view = inst.view()
+    coloops = view.coloop_scan()
+    if coloops:
+        raise ColoopError(coloops)
+    if view.rank() == 0:
+        raise ValueError(RANK_ZERO)
+    return view
 
 
 def interior_crossings(inst: MatroidInstance) -> list[EqualityPoint]:
@@ -175,7 +189,7 @@ def advance_min_basis(
     group: Sequence[EqualityPoint],
     right_rep: Fraction,
     weights_at: Callable[[Fraction], Callable[[int], Fraction]],
-    weights: Sequence[LinearFn] | None = None,
+    weights: Sequence[LinearFn],
 ) -> tuple[frozenset[int], list[SwapRecord]]:
     """Advance the minimum basis across one crossing value.
 
@@ -186,12 +200,7 @@ def advance_min_basis(
     hard internal invariant.
     """
     records: list[SwapRecord] = []
-    if len(group) == 1:
-        ordered = list(group)
-    else:
-        assert weights is not None, "bundles need the weight lines for ordering"
-        ordered = perturbed_bundle_order(group, weights)
-    for pt in ordered:
+    for pt in perturbed_bundle_order(group, weights):
         e, f = pt.lighter_before, pt.lighter_after
         if e in basis and f not in basis:
             candidate = [x for x in basis if x != e] + [f]

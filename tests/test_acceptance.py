@@ -57,7 +57,9 @@ class Corpus:
 
     def removal(self, i):
         if i not in self._removal:
-            self._removal[i] = removal_value_functions(self.solved[i].inst)
+            self._removal[i] = removal_value_functions(
+                self.solved[i].inst, self.schedule(i)
+            )
         return self._removal[i]
 
     def schedule(self, i):
@@ -67,7 +69,9 @@ class Corpus:
 
     def candidates(self, i):
         if i not in self._candidates:
-            self._candidates[i] = find_candidates(self.solved[i].inst)
+            self._candidates[i] = find_candidates(
+                self.solved[i].inst, self.schedule(i).points
+            )
         return self._candidates[i]
 
 

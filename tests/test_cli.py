@@ -1,7 +1,10 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+import matroid_interdiction.parametric as parametric
 from matroid_interdiction import solve_naive
 from matroid_interdiction.cli import main
 
@@ -26,6 +29,17 @@ C4P = {
         {"u": 1, "v": 2, "a": "2", "b": "0"},
         {"u": 2, "v": 3, "a": "3", "b": "0"},
         {"u": 3, "v": 0, "a": "0", "b": "2"},
+    ],
+    "interval": {"lo": "0", "hi": "2"},
+}
+
+RANK0 = {
+    "type": "graphic",
+    "name": "loops",
+    "nodes": 2,
+    "edges": [
+        {"u": 0, "v": 0, "a": "1", "b": "0"},
+        {"u": 1, "v": 1, "a": "0", "b": "1"},
     ],
     "interval": {"lo": "0", "hi": "2"},
 }
@@ -98,6 +112,43 @@ class TestSolve:
         assert main(["solve", "--in", instance_file(data), "--out", str(out)]) == 1
         assert "edges[1].a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["naive", "intervals", "oracle"])
+    def test_one_sweep_and_one_enumeration_per_request(
+        self, instance_file, tmp_path, monkeypatch, algorithm
+    ):
+        # Count every route to a sweep or a crossing enumeration, including
+        # the names other modules imported from the parametric module.
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        package = [
+            module for name, module in sys.modules.items()
+            if name.startswith("matroid_interdiction.")
+        ]
+        for name in ("parametric_min_basis", "interior_crossings"):
+            original = getattr(parametric, name)
+            for module in package:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(name, original))
+        out = tmp_path / "sol.json"
+        src = instance_file(C4P)
+        assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 0
+        assert calls == {"parametric_min_basis": 1, "interior_crossings": 1}
+
+    @pytest.mark.parametrize("algorithm", ["naive", "intervals", "oracle"])
+    def test_rank_zero_exits_1(self, instance_file, tmp_path, capsys, algorithm):
+        out = tmp_path / "sol.json"
+        src = instance_file(RANK0)
+        assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 1
+        assert "error: rank-0 instance" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_c4p_all_pass(self, instance_file, capsys):
@@ -130,6 +181,12 @@ class TestCheck:
     def test_coloopy_exits_2_before_checks(self, instance_file, capsys):
         assert main(["check", "--in", instance_file(BRIDGE)]) == 2
         assert "PASS" not in capsys.readouterr().out
+
+    def test_rank_zero_exits_1(self, instance_file, capsys):
+        assert main(["check", "--in", instance_file(RANK0)]) == 1
+        captured = capsys.readouterr()
+        assert "error: rank-0 instance" in captured.err
+        assert "PASS" not in captured.out
 
     def test_failing_check_exits_3_with_counterexample(
         self, instance_file, capsys, monkeypatch
@@ -195,6 +252,12 @@ class TestPlot:
         out = tmp_path / "plot.csv"
         assert main(["plot", "--in", instance_file(data), "--out", str(out)]) == 1
         assert "bounded" in capsys.readouterr().err
+
+    def test_rank_zero_exits_1(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "plot.csv"
+        assert main(["plot", "--in", instance_file(RANK0), "--out", str(out)]) == 1
+        assert "error: rank-0 instance" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_1(self, instance_file, tmp_path, capsys, samples):
@@ -280,3 +343,25 @@ class TestDimacsInput:
         out = tmp_path / "sol.json"
         assert main(["solve", "--in", instance_file(data), "--out", str(out)]) == 0
         assert "self-loop" in capsys.readouterr().err
+
+    def test_negative_interval_as_separate_argument_exits_1(self, tmp_path, capsys):
+        # argparse reads "-5:5" as an option, which is a usage error; exit 2
+        # stays reserved for coloops.
+        path = tmp_path / "tri.dimacs"
+        path.write_text("p edge 3 3\ne 1 2 1 0\ne 2 3 2 0\ne 1 3 0 1\n")
+        out = tmp_path / "sol.json"
+        code = main([
+            "solve", "--in", str(path), "--interval", "-5:5", "--out", str(out)
+        ])
+        assert code == 1
+        assert "--interval" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_interval_with_equals_sign_solves(self, tmp_path):
+        path = tmp_path / "tri.dimacs"
+        path.write_text("p edge 3 3\ne 1 2 1 0\ne 2 3 2 0\ne 1 3 0 1\n")
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--in", str(path), "--interval=-5:5", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["interval"] == {"lo": "-5", "hi": "5"}

@@ -19,23 +19,25 @@ from matroid_interdiction import (
     parametric_min_basis,
     pwl_equal,
     removal_value_functions,
+    solve_bruteforce,
     solve_intervals,
     solve_naive,
 )
 
+from matroid_interdiction.parametric import interior_crossings
 from randinst import random_graphic, random_rational, random_uniform, sample_window
 
 
 class TestRemovalValueFunctions:
     def test_p2(self, p2):
-        ys = removal_value_functions(p2)
+        ys = removal_value_functions(p2, parametric_min_basis(p2))
         assert ys[0].pieces == (LinearFn(1, 0),) and ys[0].cuts == ()
         assert ys[1].pieces == (LinearFn(0, 1),) and ys[1].cuts == ()
 
     def test_c4p(self, c4p):
         # deleting any edge of a cycle leaves exactly one spanning tree,
         # so each function is a single line over the whole interval
-        ys = removal_value_functions(c4p)
+        ys = removal_value_functions(c4p, parametric_min_basis(c4p))
         assert ys[0].pieces == (LinearFn(5, 2),)
         assert ys[1].pieces == (LinearFn(4, 2),)
         assert ys[2].pieces == (LinearFn(3, 2),)
@@ -49,13 +51,13 @@ class TestRemovalValueFunctions:
             ParamInterval.closed(0, 2),
             "",
         )
-        ys = removal_value_functions(inst)
+        ys = removal_value_functions(inst, parametric_min_basis(inst))
         w = parametric_min_basis(inst).value
         assert pwl_equal(ys[2], w)
 
     def test_rejects_coloops(self, bridge):
         with pytest.raises(ColoopError):
-            removal_value_functions(bridge)
+            removal_value_functions(bridge, parametric_min_basis(bridge))
 
     def test_bundles_cost_one_greedy_check_each(self, monkeypatch):
         # Coincident crossings take the lone-crossing path: one greedy run for
@@ -69,7 +71,7 @@ class TestRemovalValueFunctions:
             return greedy(view, weight_at)
 
         monkeypatch.setattr(MatroidView, "greedy_min_basis", counted)
-        removal_value_functions(inst)
+        removal_value_functions(inst, parametric_min_basis(inst))
         per_value = Counter(pt.lam for pt in all_equality_points(inst))
         bundles = sum(1 for count in per_value.values() if count > 1)
         assert bundles > 0
@@ -79,7 +81,7 @@ class TestRemovalValueFunctions:
         rng = random.Random(71)
         for _ in range(25):
             inst = random_graphic(rng, m_max=10) if rng.random() < 0.7 else random_uniform(rng, m_max=8)
-            ys = removal_value_functions(inst)
+            ys = removal_value_functions(inst, parametric_min_basis(inst))
             view = inst.view()
             lo, hi = sample_window(inst)
             for _ in range(20):
@@ -139,7 +141,7 @@ class TestSolveNaive:
 
 class TestFindCandidates:
     def test_c4p_all_rank_case(self, c4p):
-        cand = find_candidates(c4p)
+        cand = find_candidates(c4p, interior_crossings(c4p))
         assert [(e.point.lighter_before, e.point.lighter_after, e.point.lam)
                 for e in cand.entries] == [
             (3, 0, Fraction(1, 2)), (3, 1, Fraction(1)), (3, 2, Fraction(3, 2))]
@@ -147,33 +149,33 @@ class TestFindCandidates:
         assert [e.tags for e in cand.entries] == ["rank", "rank", "rank"]
 
     def test_p2(self, p2):
-        cand = find_candidates(p2)
+        cand = find_candidates(p2, interior_crossings(p2))
         assert len(cand) == 1
         assert cand.entries[0].point.lam == Fraction(1)
         assert cand.entries[0].by_rank
 
     def test_parallel_weight_lines_have_no_candidates(self, c4):
-        assert len(find_candidates(c4)) == 0
+        assert len(find_candidates(c4, interior_crossings(c4))) == 0
 
     def test_count_within_2km(self):
         rng = random.Random(83)
         for _ in range(60):
             inst = random_graphic(rng) if rng.random() < 0.7 else random_uniform(rng)
-            cand = find_candidates(inst)
+            cand = find_candidates(inst, interior_crossings(inst))
             assert len(cand) <= 2 * inst.rank() * inst.m
 
     def test_candidates_cover_every_slope_change(self):
         rng = random.Random(89)
         for _ in range(40):
             inst = random_graphic(rng) if rng.random() < 0.7 else random_uniform(rng)
-            values = set(find_candidates(inst).lambdas())
+            values = set(find_candidates(inst, interior_crossings(inst)).lambdas())
             sched = parametric_min_basis(inst)
             assert set(sched.value.cuts) <= values
-            for fn in removal_value_functions(inst).values():
+            for fn in removal_value_functions(inst, sched).values():
                 assert set(fn.cuts) <= values
 
     def test_works_on_coloopy_instances(self, bridge):
-        assert len(find_candidates(bridge)) == 0
+        assert len(find_candidates(bridge, interior_crossings(bridge))) == 0
 
 
 class TestSolveIntervals:
@@ -228,7 +230,7 @@ class TestSolveIntervals:
             inst = random_graphic(rng)
             k = inst.rank()
             sol = solve_naive(inst)
-            lambdas = find_candidates(inst).lambdas()
+            lambdas = find_candidates(inst, interior_crossings(inst)).lambdas()
             bounds = [None] + lambdas + [None]
             for lo, hi in zip(bounds, bounds[1:]):
                 inside = [
@@ -244,7 +246,7 @@ class TestSwapContinuity:
         for _ in range(40):
             inst = random_graphic(rng, coeff=5)
             sched = parametric_min_basis(inst)
-            ys = removal_value_functions(inst)
+            ys = removal_value_functions(inst, sched)
             for cut, (out, in_) in zip(sched.cuts, sched.swaps):
                 assert ys[out].value_at(cut) == ys[in_].value_at(cut)
 
@@ -304,6 +306,17 @@ class TestDegenerateInstances:
         )
         with pytest.raises(ValueError):
             solve_naive(loops)
+
+    @pytest.mark.parametrize("solve", [solve_naive, solve_intervals, solve_bruteforce])
+    def test_rank_zero_is_rejected_by_every_solver(self, solve):
+        loops = MatroidInstance(
+            GraphicMatroid(2, ((0, 0), (1, 1))),
+            (LinearFn(1, 0), LinearFn(0, 1)),
+            ParamInterval.closed(0, 2),
+            "",
+        )
+        with pytest.raises(ValueError, match="^rank-0 instance"):
+            solve(loops)
 
     def test_unbounded_interval_is_solved(self):
         inst = MatroidInstance(
