@@ -72,9 +72,9 @@ def removal_value_functions(
     if not basis:
         raise ValueError(RANK_ZERO)
     view = inst.view()
-    weight_at = inst.weights_at(start_representative(inst.interval, schedule.points))
+    order = inst.order_at(start_representative(inst.interval, schedule.points))
     deleted_views = {g: view.delete(g) for g in basis}
-    deleted_bases = {g: deleted_views[g].greedy_min_basis(weight_at) for g in basis}
+    deleted_bases = {g: deleted_views[g].greedy_min_basis(order) for g in basis}
 
     own_transitions: dict[int, list[tuple[Fraction | None, LinearFn | None]]] = {
         e: [(None, inst.basis_line(deleted_bases[e]) if e in basis else _FOLLOWS_MAIN)]
@@ -93,7 +93,7 @@ def removal_value_functions(
         for cut, swap, old in zip(schedule.cuts, schedule.swaps, schedule.bases)
     }
     for lam, group in group_by_lambda(schedule.points):
-        for pt in perturbed_bundle_order(group, inst.weights):
+        for pt in perturbed_bundle_order(group, inst.scaled.b):
             e, f = pt.lighter_before, pt.lighter_after
             for g, basis_g in deleted_bases.items():
                 if g == f or e not in basis_g or f in basis_g:
@@ -220,8 +220,8 @@ def find_candidates(
     """
     view = inst.view()
     m = inst.m
-    weights = inst.weights
-    weight_at = inst.weights_at(start_representative(inst.interval, crossings))
+    slope = inst.scaled.b
+    order = inst.order_at(start_representative(inst.interval, crossings))
 
     active: list[set[int]] = []
     bases: list[set[int]] = []
@@ -233,8 +233,8 @@ def find_candidates(
             f
             for f in range(m)
             if f != e
-            and weight_at(f) < weight_at(e)
-            and weights[f].b <= weights[e].b
+            and order(f) < order(e)
+            and slope[f] <= slope[e]
         }
         active.append(grown)
         builder = inst.backend.builder()
@@ -285,7 +285,7 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
         ParamInterval(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)
     ]
 
-    basis = view.greedy_min_basis(inst.weights_at(windows[0].representative()))
+    basis = view.greedy_min_basis(inst.order_at(windows[0].representative()))
     cuts: list[Fraction] = []
     pieces: list[LinearFn] = []
     labels: list[int] = []
@@ -294,7 +294,7 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
         if i > 0:
             group = points_at[lambdas[i - 1]]
             basis, _ = advance_min_basis(
-                view, basis, group, rep, inst.weights_at, inst.weights
+                view, basis, group, rep, inst.order_at, inst.scaled.b
             )
         weight_at = inst.weights_at(rep)
         plain = inst.basis_line(basis)

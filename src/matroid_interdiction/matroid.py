@@ -277,7 +277,8 @@ class ComponentPartition:
         return f"ComponentPartition({groups})"
 
 
-WeightAt = Callable[[int], Fraction]
+# Sort keys per element: exact weights, or integer keys in the same order.
+WeightAt = Callable[[int], Union[Fraction, int]]
 
 
 @dataclass(frozen=True)

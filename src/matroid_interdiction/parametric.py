@@ -13,19 +13,24 @@ The removal sweep in :mod:`.interdiction` is handed this schedule and walks
 its crossings in the same order instead of tracking the main basis itself.
 After each bundle the basis is checked once against a fresh greedy run, so a
 degenerate bundle can never silently corrupt the schedule.
+
+Orders, crossings and basis lines are computed on the instance's weight lines
+scaled to integers (:meth:`MatroidInstance.order_at`); ``Fraction`` appears
+only where a value leaves the sweep: crossing positions and value lines.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from itertools import combinations, groupby
-from typing import Callable, Sequence
+from math import lcm
+from typing import Callable, NamedTuple, Sequence
 
 from .matroid import Backend, ColoopError, MatroidView
-from .pwl import EqualityPoint, LinearFn, PWLFunction, equality_point, sum_lines
+from .pwl import EqualityPoint, LinearFn, PWLFunction
 from .rationals import ParamInterval, interior_point, extended
 
 
@@ -35,6 +40,14 @@ class CoincidentEqualityPointsWarning(UserWarning):
     The sweep stays deterministic (ties resolve by element id), but the
     instance violates the usual genericity assumption, so it is reported.
     """
+
+
+class ScaledLines(NamedTuple):
+    """The weight lines as integers: ``w_e(lam) = (a[e] + lam*b[e]) / scale``."""
+
+    scale: int
+    a: tuple[int, ...]
+    b: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -71,8 +84,36 @@ class MatroidInstance:
         weights = self.weights
         return lambda e: weights[e](lam)
 
+    @cached_property
+    def scaled(self) -> ScaledLines:
+        """The weight lines over their least common denominator ``scale``.
+
+        Computed on first use, not at construction: O(m) integers per instance.
+        """
+        weights = self.weights
+        scale = lcm(*(d for w in weights for d in (w.a.denominator, w.b.denominator)))
+        return ScaledLines(
+            scale,
+            tuple(w.a.numerator * (scale // w.a.denominator) for w in weights),
+            tuple(w.b.numerator * (scale // w.b.denominator) for w in weights),
+        )
+
+    def order_at(self, lam: Fraction) -> Callable[[int], int]:
+        """Integer sort keys that order the elements exactly as ``weights_at(lam)``.
+
+        With ``lam = p/q`` and ``q > 0``, ``a[e]*q + b[e]*p`` is ``w_e(lam)``
+        times the positive constant ``q*scale``, so comparisons and ties agree.
+        """
+        p, q = lam.numerator, lam.denominator
+        _, a, b = self.scaled
+        return [a_e * q + b_e * p for a_e, b_e in zip(a, b)].__getitem__
+
     def basis_line(self, basis: frozenset[int]) -> LinearFn:
-        return sum_lines(self.weights[e] for e in basis)
+        scale, a, b = self.scaled
+        return LinearFn(
+            Fraction(sum(a[e] for e in basis), scale),
+            Fraction(sum(b[e] for e in basis), scale),
+        )
 
 
 RANK_ZERO = "rank-0 instance: there is nothing to interdict"
@@ -96,11 +137,18 @@ def interior_crossings(inst: MatroidInstance) -> list[EqualityPoint]:
     by several pairs are kept; unlike :func:`all_equality_points` this emits
     no warning about them.
     """
+    _, a, b = inst.scaled
+    inside = inst.interval.strictly_inside
     points = []
     for i, j in combinations(range(inst.m), 2):
-        pt = equality_point(i, inst.weights[i], j, inst.weights[j])
-        if pt is not None and inst.interval.strictly_inside(pt.lam):
-            points.append(pt)
+        if b[i] == b[j]:
+            continue  # parallel lines never cross
+        lam = Fraction(a[j] - a[i], b[i] - b[j])
+        if inside(lam):
+            # the steeper line is the lighter one before the crossing
+            points.append(
+                EqualityPoint(i, j, lam) if b[i] > b[j] else EqualityPoint(j, i, lam)
+            )
     points.sort(key=lambda p: (p.lam, p.lighter_before, p.lighter_after))
     return points
 
@@ -151,7 +199,7 @@ class SwapRecord:
 
 
 def perturbed_bundle_order(
-    group: Sequence[EqualityPoint], weights: Sequence[LinearFn]
+    group: Sequence[EqualityPoint], slopes: Sequence[int]
 ) -> list[EqualityPoint]:
     """Order coincident crossings as the id tie-break perturbation would.
 
@@ -160,19 +208,19 @@ def perturbed_bundle_order(
     the crossing of ``e -> f`` moves by ``(eps**(e+1) - eps**(f+1)) /
     (b_e - b_f)``.  Comparing those offsets exactly as ``eps -> 0+`` (smallest
     exponent with a nonzero coefficient decides) yields the order in which
-    the perturbed sweep meets the crossings.
+    the perturbed sweep meets the crossings.  ``slopes`` may be any positive
+    multiple of the slopes, such as :attr:`MatroidInstance.scaled` ``.b``.
     """
 
-    def offset_terms(pt: EqualityPoint) -> dict[int, Fraction]:
-        gap = weights[pt.lighter_before].b - weights[pt.lighter_after].b
-        # gap > 0 by the crossing orientation
-        return {pt.lighter_before: Fraction(1, 1) / gap,
-                pt.lighter_after: Fraction(-1, 1) / gap}
-
     def cmp(p1: EqualityPoint, p2: EqualityPoint) -> int:
-        terms = offset_terms(p1)
-        for exponent, coeff in offset_terms(p2).items():
-            terms[exponent] = terms.get(exponent, Fraction(0)) - coeff
+        # Both gaps are positive by the crossing orientation, so scaling the
+        # offset difference by gap1 * gap2 keeps every sign and clears the
+        # denominators.
+        gap1 = slopes[p1.lighter_before] - slopes[p1.lighter_after]
+        gap2 = slopes[p2.lighter_before] - slopes[p2.lighter_after]
+        terms = {p1.lighter_before: gap2, p1.lighter_after: -gap2}
+        for exponent, coeff in ((p2.lighter_before, gap1), (p2.lighter_after, -gap1)):
+            terms[exponent] = terms.get(exponent, 0) - coeff
         for exponent in sorted(terms):
             if terms[exponent] < 0:
                 return -1
@@ -188,8 +236,8 @@ def advance_min_basis(
     basis: frozenset[int],
     group: Sequence[EqualityPoint],
     right_rep: Fraction,
-    weights_at: Callable[[Fraction], Callable[[int], Fraction]],
-    weights: Sequence[LinearFn],
+    order_at: Callable[[Fraction], Callable[[int], int]],
+    slopes: Sequence[int],
 ) -> tuple[frozenset[int], list[SwapRecord]]:
     """Advance the minimum basis across one crossing value.
 
@@ -200,7 +248,7 @@ def advance_min_basis(
     hard internal invariant.
     """
     records: list[SwapRecord] = []
-    for pt in perturbed_bundle_order(group, weights):
+    for pt in perturbed_bundle_order(group, slopes):
         e, f = pt.lighter_before, pt.lighter_after
         if e in basis and f not in basis:
             candidate = [x for x in basis if x != e] + [f]
@@ -208,7 +256,7 @@ def advance_min_basis(
                 basis = frozenset(candidate)
                 records.append(SwapRecord(pt.lam, e, f, basis))
     if len(group) > 1:
-        fresh = view.greedy_min_basis(weights_at(right_rep))
+        fresh = view.greedy_min_basis(order_at(right_rep))
         if fresh != basis:
             raise AssertionError(
                 f"bundle at {group[0].lam}: perturbed-order swaps ended at "
@@ -251,7 +299,7 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     interval = inst.interval
 
     start_rep = start_representative(interval, points)
-    basis = view.greedy_min_basis(inst.weights_at(start_rep))
+    basis = view.greedy_min_basis(inst.order_at(start_rep))
 
     cuts: list[Fraction] = []
     bases: list[frozenset[int]] = [basis]
@@ -260,7 +308,7 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
         right_end = extended(groups[idx + 1][0]) if idx + 1 < len(groups) else interval.hi
         right_rep = interior_point(extended(lam), right_end)
         basis, records = advance_min_basis(
-            view, basis, group, right_rep, inst.weights_at, inst.weights
+            view, basis, group, right_rep, inst.order_at, inst.scaled.b
         )
         for rec in records:
             cuts.append(rec.lam)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rationals import (
     ExtendedRational,
@@ -52,15 +52,6 @@ class LinearFn:
 
 
 ZERO_FN = LinearFn(0, 0)
-
-
-def sum_lines(lines: Iterable[LinearFn]) -> LinearFn:
-    a = Fraction(0)
-    b = Fraction(0)
-    for fn in lines:
-        a += fn.a
-        b += fn.b
-    return LinearFn(a, b)
 
 
 @dataclass(frozen=True)

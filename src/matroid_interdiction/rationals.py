@@ -1,10 +1,12 @@
 """Exact scalars for parameter values and weights.
 
-Everything in this package computes over ``fractions.Fraction``.  Floats are
-rejected at every parsing boundary: breakpoint positions and tie decisions are
-rationally defined, and a single rounded comparison could reorder two nearly
-coincident crossing points.  Interval endpoints may additionally be +-infinity,
-modelled by :class:`ExtendedRational`.
+Every value this package reads or reports is a ``fractions.Fraction``; the
+sweep compares weights as integers scaled by a common denominator (see
+:meth:`.parametric.MatroidInstance.order_at`), which is exact as well.  Floats
+are rejected at every parsing boundary: breakpoint positions and tie decisions
+are rationally defined, and a single rounded comparison could reorder two
+nearly coincident crossing points.  Interval endpoints may additionally be
++-infinity, modelled by :class:`ExtendedRational`.
 
 All types here are immutable values; they can be shared freely across threads.
 """
@@ -24,8 +26,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def rational(value: RationalLike) -> Fraction:
     """Coerce an int, a ``"p/q"`` string, or a Fraction to an exact Fraction.
 
-    Only integer and ``p/q`` spellings are accepted; decimal strings and
-    floats are refused so no rounding can sneak in.
+    Only integer and ``p/q`` spellings with a nonzero ``q`` are accepted;
+    decimal strings and floats are refused so no rounding can sneak in.
     """
     if isinstance(value, Fraction):
         return value
@@ -37,6 +39,9 @@ def rational(value: RationalLike) -> Fraction:
         text = value.strip()
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not an exact rational literal: {value!r}")
+        denominator = text.partition("/")[2]
+        if denominator and int(denominator) == 0:
+            raise ValueError(f"zero denominator: {value!r}")
         return Fraction(text)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -164,13 +169,19 @@ class ParamInterval:
     def is_bounded(self) -> bool:
         return self.lo.is_finite and self.hi.is_finite
 
+    # Both tests compare ``lam`` with the finite ends directly: they run once
+    # per crossing and per cut, where wrapping ``lam`` would allocate.
     def contains(self, lam: Fraction) -> bool:
-        point = ExtendedRational.finite(lam)
-        return self.lo <= point <= self.hi
+        lo, hi = self.lo, self.hi
+        return (lo._sign < 0 or lo._sign == 0 and lo._value <= lam) and (
+            hi._sign > 0 or hi._sign == 0 and lam <= hi._value
+        )
 
     def strictly_inside(self, lam: Fraction) -> bool:
-        point = ExtendedRational.finite(lam)
-        return self.lo < point < self.hi
+        lo, hi = self.lo, self.hi
+        return (lo._sign < 0 or lo._sign == 0 and lo._value < lam) and (
+            hi._sign > 0 or hi._sign == 0 and lam < hi._value
+        )
 
     def representative(self) -> Fraction:
         """A deterministic interior point of the interval."""

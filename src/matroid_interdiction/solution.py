@@ -67,8 +67,8 @@ def build_solution(inst: MatroidInstance, labeled: PWLFunction) -> Solution:
     raw: list[Segment] = []
     for lo, hi, line, label in labeled.piece_windows():
         rep = interior_point(lo, hi)
+        basis = view.greedy_min_basis(inst.order_at(rep))
         weight_at = inst.weights_at(rep)
-        basis = view.greedy_min_basis(weight_at)
         most_vital = label
         assert most_vital is not None
         if most_vital not in basis:

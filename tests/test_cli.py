@@ -112,6 +112,15 @@ class TestSolve:
         assert main(["solve", "--in", instance_file(data), "--out", str(out)]) == 1
         assert "edges[1].a" in capsys.readouterr().err
 
+    def test_zero_denominator_exits_1(self, instance_file, tmp_path, capsys):
+        data = json.loads(json.dumps(C4P))
+        data["edges"][0]["a"] = "1/0"
+        out = tmp_path / "out.json"
+        assert main(["solve", "--in", instance_file(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "edges[0].a" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("algorithm", ["naive", "intervals", "oracle"])
     def test_one_sweep_and_one_enumeration_per_request(
         self, instance_file, tmp_path, monkeypatch, algorithm
@@ -365,3 +374,12 @@ class TestDimacsInput:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["interval"] == {"lo": "-5", "hi": "5"}
+
+    def test_zero_denominator_interval_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "tri.dimacs"
+        path.write_text("p edge 3 3\ne 1 2 1 0\ne 2 3 2 0\ne 1 3 0 1\n")
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--in", str(path), "--interval=1/0:5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

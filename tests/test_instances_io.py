@@ -85,6 +85,13 @@ class TestInstanceParsing:
             parse_instance(data)
         assert "weights[2].b" in str(err.value)
 
+    def test_zero_denominator_reports_path(self):
+        data = json.loads(json.dumps(UNIFORM))
+        data["weights"][1]["a"] = "1/0"
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(data)
+        assert "weights[1].a" in str(err.value)
+
     def test_node_out_of_range_reports_path(self):
         data = json.loads(json.dumps(GRAPHIC))
         data["edges"][3]["v"] = 9

@@ -21,7 +21,7 @@ def test_rational_parsing_accepts_int_and_pq():
     assert rational(" 7/14 ") == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "inf", "three", "1/2/3", ""])
+@pytest.mark.parametrize("bad", ["1.5", "inf", "three", "1/2/3", "", "1/0", "-3/00"])
 def test_rational_parsing_rejects_non_exact(bad):
     with pytest.raises(ValueError):
         rational(bad)
