@@ -69,12 +69,11 @@ def _parse_weight(data: Any, path: str) -> LinearFn:
 
 def _parse_interval(data: Any, path: str) -> ParamInterval:
     _check_keys(data, {"lo", "hi"}, {"lo", "hi"}, path)
-    interval = ParamInterval(
-        _as_extended(data["lo"], f"{path}.lo"), _as_extended(data["hi"], f"{path}.hi")
-    )
-    if not interval.is_proper:
-        raise _fail(path, f"interval {interval} is empty or a single point")
-    return interval
+    lo = _as_extended(data["lo"], f"{path}.lo")
+    hi = _as_extended(data["hi"], f"{path}.hi")
+    if not lo < hi:
+        raise _fail(path, f"interval lo={lo}, hi={hi} is empty or a single point")
+    return ParamInterval(lo, hi)
 
 
 def parse_instance(data: Any, path: str = "instance") -> MatroidInstance:
@@ -262,6 +261,15 @@ def _value_from_segments(interval, segments, path):
     return PWLFunction.build(interval, cuts, pieces)
 
 
+def _dimacs_int(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InstanceFormatError(
+            f"line {lineno}: expected an integer, got {text!r}"
+        ) from None
+
+
 def read_dimacs(text: str, interval: ParamInterval, name: str = "") -> MatroidInstance:
     """Minimal DIMACS edge reader.
 
@@ -280,13 +288,14 @@ def read_dimacs(text: str, interval: ParamInterval, name: str = "") -> MatroidIn
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise InstanceFormatError(f"line {lineno}: expected 'p edge N M'")
-            nodes = _as_int(int(parts[2]), f"line {lineno}", minimum=1)
+            nodes = _as_int(_dimacs_int(parts[2], lineno), f"line {lineno}", minimum=1)
         elif parts[0] == "e":
             if nodes is None:
                 raise InstanceFormatError(f"line {lineno}: 'e' before 'p edge'")
             if len(parts) not in (3, 4, 5):
                 raise InstanceFormatError(f"line {lineno}: expected 'e u v [a [b]]'")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u = _dimacs_int(parts[1], lineno) - 1
+            v = _dimacs_int(parts[2], lineno) - 1
             if not (0 <= u < nodes and 0 <= v < nodes):
                 raise InstanceFormatError(f"line {lineno}: node out of range")
             a = _as_rational(parts[3], f"line {lineno}") if len(parts) > 3 else Fraction(1)

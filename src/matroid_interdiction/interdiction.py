@@ -44,6 +44,7 @@ from .pwl import (
     PWLFunction,
     envelope_of_lines,
     envelope_of_pwl,
+    stitch,
 )
 from .rationals import ParamInterval, extended
 from .solution import Solution, build_solution
@@ -286,9 +287,7 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
     ]
 
     basis = view.greedy_min_basis(inst.order_at(windows[0].representative()))
-    cuts: list[Fraction] = []
-    pieces: list[LinearFn] = []
-    labels: list[int] = []
+    parts = []
     for i, window in enumerate(windows):
         rep = window.representative()
         if i > 0:
@@ -309,16 +308,8 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
         outside = min(set(range(inst.m)) - basis, default=None)
         if outside is not None:
             lines.append((outside, plain))
-        local = envelope_of_lines(lines, window)
-        for j, piece in enumerate(local.pieces):
-            if pieces:
-                cuts.append(local.cuts[j - 1] if j > 0 else lambdas[i - 1])
-            pieces.append(piece)
-            assert local.labels is not None
-            labels.append(local.labels[j])
-
-    stitched = PWLFunction.build(inst.interval, cuts, pieces, labels)
-    return build_solution(inst, stitched)
+        parts.append(envelope_of_lines(lines, window))
+    return build_solution(inst, stitch(inst.interval, parts))
 
 
 def doubled_instance(inst: MatroidInstance) -> MatroidInstance:

@@ -2,9 +2,11 @@
 
 A weight is a line ``a + lam*b``; a value function is a continuous piecewise
 linear function stored as interior cut positions plus one line per piece, so
-unbounded domains need no special vertices.  Upper envelopes are computed
-exactly; ties in value are broken by the smallest element id so the winning
-labels are reproducible across solvers and platforms.
+unbounded domains need no special vertices.  Upper envelopes are exact and
+built one way: a line envelope (:func:`envelope_of_lines`) per window on
+which every input is a single line, joined by :func:`stitch`.  Ties in value
+are broken by the smallest element id so the winning labels are reproducible
+across solvers and platforms.
 
 Normalization: a cut is kept only if the line, or the piece label, changes
 across it.  Label-only cuts (same line, different winner) can occur when two
@@ -49,9 +51,6 @@ class LinearFn:
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*lam"
-
-
-ZERO_FN = LinearFn(0, 0)
 
 
 @dataclass(frozen=True)
@@ -182,22 +181,6 @@ class PWLFunction:
             return self
         return PWLFunction.build(self.domain, self.cuts, self.pieces, None)
 
-    def restrict(self, window: ParamInterval) -> "PWLFunction":
-        if not (self.domain.lo <= window.lo and window.hi <= self.domain.hi):
-            raise ValueError(f"window {window} not inside domain {self.domain}")
-        kept = [c for c in self.cuts if window.strictly_inside(c)]
-        first = 0
-        for cut in self.cuts:
-            if extended(cut) <= window.lo:
-                first += 1
-        pieces = self.pieces[first : first + len(kept) + 1]
-        labels = (
-            self.labels[first : first + len(kept) + 1]
-            if self.labels is not None
-            else None
-        )
-        return PWLFunction.build(window, kept, pieces, labels)
-
     def piece_windows(self) -> list[tuple[ExtendedRational, ExtendedRational, LinearFn, int | None]]:
         """The pieces as (start, end, line, label) with extended endpoints."""
         bounds = [self.domain.lo] + [extended(c) for c in self.cuts] + [self.domain.hi]
@@ -279,105 +262,53 @@ def envelope_of_lines(
     )
 
 
-def _winner_runs(
-    x0: ExtendedRational,
-    x1: ExtendedRational,
-    left: tuple[LinearFn, int | None],
-    right: tuple[LinearFn, int | None],
-) -> list[tuple[Fraction | None, LinearFn, int | None]]:
-    """Max of two labeled lines over the open window (x0, x1).
-
-    Returns runs as (start_cut, line, label); the first run has start None.
-    Comparisons are purely symbolic: inside the window, left of a crossing the
-    smaller slope is on top, right of it the larger slope is.
-    """
-    la, lab_a = left
-    lb, lab_b = right
-    if la == lb:
-        label = lab_a if lab_b is None else (lab_b if lab_a is None else min(lab_a, lab_b))
-        return [(None, la, label)]
-    if la.b == lb.b:
-        winner = (la, lab_a) if la.a > lb.a else (lb, lab_b)
-        return [(None, winner[0], winner[1])]
-    cross = (la.a - lb.a) / (lb.b - la.b)
-    low_slope, high_slope = (
-        ((la, lab_a), (lb, lab_b)) if la.b < lb.b else ((lb, lab_b), (la, lab_a))
-    )
-    cross_ext = extended(cross)
-    if cross_ext <= x0:
-        return [(None, high_slope[0], high_slope[1])]
-    if cross_ext >= x1:
-        return [(None, low_slope[0], low_slope[1])]
-    return [
-        (None, low_slope[0], low_slope[1]),
-        (cross, high_slope[0], high_slope[1]),
-    ]
-
-
-def _merge_two_pwl(f: PWLFunction, g: PWLFunction) -> PWLFunction:
-    """Upper envelope of two functions on the same domain."""
-    assert f.domain == g.domain
-    domain = f.domain
-    all_cuts = sorted(set(f.cuts) | set(g.cuts))
-    bounds = [domain.lo] + [extended(c) for c in all_cuts] + [domain.hi]
-
-    cuts: list[Fraction] = []
-    pieces: list[LinearFn] = []
-    labels: list[int | None] = []
-    fi = gi = 0
-    for i in range(len(bounds) - 1):
-        x0, x1 = bounds[i], bounds[i + 1]
-        while fi < len(f.cuts) and extended(f.cuts[fi]) <= x0:
-            fi += 1
-        while gi < len(g.cuts) and extended(g.cuts[gi]) <= x0:
-            gi += 1
-        fl = f.labels[fi] if f.labels is not None else None
-        gl = g.labels[gi] if g.labels is not None else None
-        runs = _winner_runs(x0, x1, (f.pieces[fi], fl), (g.pieces[gi], gl))
-        for start, line, label in runs:
-            if start is None:
-                if i > 0:
-                    cuts.append(all_cuts[i - 1])
-            else:
-                cuts.append(start)
-            pieces.append(line)
-            labels.append(label)
-
-    label_tuple = None if all(l is None for l in labels) else tuple(
-        0 if l is None else l for l in labels
-    )
-    if label_tuple is not None and any(l is None for l in labels):
-        raise ValueError("cannot merge labeled with unlabeled pieces")
-    return PWLFunction.build(domain, cuts, pieces, label_tuple)
-
-
 def envelope_of_pwl(
     fs: Sequence[tuple[int, PWLFunction]], window: ParamInterval
 ) -> PWLFunction:
     """Pointwise maximum of labeled piecewise-linear functions on ``window``.
 
-    Every input must be defined on all of ``window``.  Functions are merged
-    pairwise, balanced, so total work stays O(t log t) in the total piece
-    count; ties go to the smallest label at every step, which makes the merge
-    order immaterial.
+    Every input must be defined on all of ``window``.  The inputs' cuts
+    strictly inside ``window`` split it into sub-windows on which every input
+    is a single line; each sub-window takes one :func:`envelope_of_lines` over
+    the pieces of all inputs there, and :func:`stitch` joins the results.  The
+    cost is one line envelope over all ``t`` inputs per sub-window.  Each open
+    piece is labeled with the smallest label among its maximizers.
     """
     if not fs:
         raise ValueError("need at least one function")
     if not window.is_proper:
         raise ValueError(f"degenerate window {window}")
-    level = [
-        PWLFunction.build(
-            r.domain, r.cuts, r.pieces, (label,) * len(r.pieces)
-        )
-        for label, fn in fs
-        for r in (fn.restrict(window),)
-    ]
-    while len(level) > 1:
-        merged = [
-            _merge_two_pwl(level[i], level[i + 1])
-            if i + 1 < len(level)
-            else level[i]
-            for i in range(0, len(level), 2)
-        ]
-        level = merged
-    return level[0]
+    for _, fn in fs:
+        if not (fn.domain.lo <= window.lo and window.hi <= fn.domain.hi):
+            raise ValueError(f"window {window} not inside domain {fn.domain}")
+    cuts = sorted({c for _, fn in fs for c in fn.cuts if window.strictly_inside(c)})
+    bounds = [window.lo] + [extended(c) for c in cuts] + [window.hi]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        sub = ParamInterval(lo, hi)
+        rep = sub.representative()
+        lines = [(label, fn.pieces[bisect_left(fn.cuts, rep)]) for label, fn in fs]
+        parts.append(envelope_of_lines(lines, sub))
+    return stitch(window, parts)
+
+
+def stitch(domain: ParamInterval, parts: Sequence[PWLFunction]) -> PWLFunction:
+    """Join labeled functions whose domains tile ``domain``, left to right.
+
+    The start of every part after the first becomes a cut; a single
+    :meth:`PWLFunction.build` checks continuity at those seams and merges the
+    ones across which neither the line nor the label changes.  The oracle
+    (:func:`.oracle.solve_bruteforce`) keeps its own copy of this loop on
+    purpose: the reference solver shares no assembly code with the solvers
+    it checks.
+    """
+    cuts: list[Fraction] = []
+    pieces: list[LinearFn] = []
+    labels: list[int] = []
+    for part in parts:
+        if pieces:
+            cuts.append(part.domain.lo.value)
+        cuts.extend(part.cuts)
+        pieces.extend(part.pieces)
+        labels.extend(part.labels)
+    return PWLFunction.build(domain, cuts, pieces, labels)

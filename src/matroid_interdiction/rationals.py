@@ -138,10 +138,6 @@ def extended(value: ExtendedLike) -> ExtendedRational:
     return ExtendedRational.finite(value)
 
 
-def format_extended(value: ExtendedRational) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class ParamInterval:
     """A closed parameter interval, with optionally infinite ends.

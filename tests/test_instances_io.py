@@ -116,9 +116,11 @@ class TestInstanceParsing:
 
     def test_degenerate_interval_rejected(self):
         data = json.loads(json.dumps(GRAPHIC))
-        data["interval"] = {"lo": "1", "hi": "1"}
-        with pytest.raises(InstanceFormatError):
-            parse_instance(data)
+        for lo, hi in (("1", "1"), (5, 1), ("inf", "-inf"), ("inf", "inf")):
+            data["interval"] = {"lo": lo, "hi": hi}
+            with pytest.raises(InstanceFormatError) as err:
+                parse_instance(data)
+            assert str(err.value).startswith("instance.interval: ")
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -172,3 +174,7 @@ e 1 3 0 1
             read_dimacs("p edge 2 1\ne 1 5\n", ParamInterval.closed(0, 1))
         with pytest.raises(InstanceFormatError):
             read_dimacs("q edge 2 1\n", ParamInterval.closed(0, 1))
+        for text, lineno in (("p edge x 3\n", 1), ("c x\np edge 2 1\ne 1 2.0\n", 3)):
+            with pytest.raises(InstanceFormatError) as err:
+                read_dimacs(text, ParamInterval.closed(0, 1))
+            assert str(err.value).startswith(f"line {lineno}: ")

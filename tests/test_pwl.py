@@ -86,16 +86,6 @@ class TestPWLConstruction:
         assert f.label_at(Fraction(1)) == 3  # smaller adjacent label at the cut
         assert f.drop_labels().cuts == ()
 
-    def test_restrict(self):
-        f = PWLFunction.build(
-            ParamInterval.closed(-2, 4), [Fraction(1)], [F(1, 0), F(0, 1)]
-        )
-        g = f.restrict(ParamInterval.closed(1, 3))
-        assert g.cuts == () and g.pieces == (F(0, 1),)
-        h = f.restrict(ParamInterval.closed(0, 2))
-        assert h.cuts == (Fraction(1),)
-
-
 class TestEnvelopeOfLines:
     def test_max_of_constant_and_identity(self):
         env = envelope_of_lines([(0, F(1, 0)), (1, F(0, 1))], WINDOW)
@@ -196,18 +186,37 @@ class TestEnvelopeOfPWL:
     def test_pointwise_maximum_property_on_random_pwl(self):
         rng = random.Random(17)
         window = ParamInterval.closed(0, 4)
-        for _ in range(60):
+        domains = [window, ParamInterval.closed(-2, 6), ParamInterval.closed("-inf", "inf")]
+        for _ in range(120):
+            # Inputs draw their lines from a small shared pool, so whole
+            # pieces of different inputs coincide and ties are common.
+            pool = [F(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            labels = rng.sample(range(10), rng.randint(1, 5))
             fs = []
-            for i in range(rng.randint(1, 5)):
-                lines = [
-                    (0, F(rng.randint(-6, 6), rng.randint(-6, 6)))
-                    for _ in range(rng.randint(1, 4))
-                ]
-                fs.append((i, envelope_of_lines(lines, window).drop_labels()))
+            for label in labels:
+                lines = [(0, rng.choice(pool)) for _ in range(rng.randint(1, 3))]
+                domain = rng.choice(domains)
+                fs.append((label, envelope_of_lines(lines, domain).drop_labels()))
             env = envelope_of_pwl(fs, window)
+            input_cuts = {c for _, fn in fs for c in fn.cuts}
             for _ in range(20):
                 lam = Fraction(rng.randint(0, 96), 24)
-                assert env.value_at(lam) == max(fn.value_at(lam) for _, fn in fs)
+                best = max(fn.value_at(lam) for _, fn in fs)
+                assert env.value_at(lam) == best
+                if lam in input_cuts:
+                    continue
+                winners = {label for label, fn in fs if fn.value_at(lam) == best}
+                assert env.label_at(lam) in winners
+                local_pieces = {
+                    fn.pieces[fn.piece_index(lam)] for label, fn in fs if label in winners
+                }
+                if len(local_pieces) == 1:
+                    assert env.label_at(lam) == min(winners)
+            # One input defined on ``window`` only: a wider window must fail.
+            narrow = fs + [(10, PWLFunction.from_line(window, F(0, 0)))]
+            for outside in (ParamInterval.closed(-1, 2), ParamInterval.closed(2, "inf")):
+                with pytest.raises(ValueError):
+                    envelope_of_pwl(narrow, outside)
 
 
 class TestPWLEqual:
