@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .instances import (
@@ -100,14 +102,12 @@ def _stats(inst: MatroidInstance, schedule, candidates, sol) -> dict:
 
 def _overfull_window(sol, lambdas, k) -> list[Fraction] | None:
     """The slope changes of the first candidate window holding more than k - 1."""
+    cuts = sol.value.cuts
     for lo, hi in zip([None] + lambdas, lambdas + [None]):
-        inside = [
-            c
-            for c in sol.value.cuts
-            if (lo is None or c > lo) and (hi is None or c < hi)
-        ]
-        if len(inside) > k - 1:
-            return inside
+        start = 0 if lo is None else bisect_right(cuts, lo)
+        stop = len(cuts) if hi is None else bisect_left(cuts, hi)
+        if stop - start > k - 1:
+            return list(cuts[start:stop])
     return None
 
 
@@ -348,7 +348,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
-        return args.func(args)
+        # Recorded, not shown: Python's format would print a source path.
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return args.func(args)
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
     except ColoopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLOOPS

@@ -223,10 +223,7 @@ def parse_solution(data: Any, path: str = "solution") -> tuple[str, Solution, di
             item, {"lo", "hi", "value", "most_vital", "basis", "replacement"},
             {"lo", "hi", "value", "most_vital", "basis", "replacement"}, spath,
         )
-        window = ParamInterval(
-            _as_extended(item["lo"], f"{spath}.lo"),
-            _as_extended(item["hi"], f"{spath}.hi"),
-        )
+        window = _parse_interval({"lo": item["lo"], "hi": item["hi"]}, spath)
         value = _parse_weight(item["value"], f"{spath}.value")
         segments.append(
             Segment(
@@ -275,9 +272,10 @@ def read_dimacs(text: str, interval: ParamInterval, name: str = "") -> MatroidIn
 
     Accepts ``p edge <nodes> <edges>`` and 1-indexed ``e u v [a [b]]`` lines,
     where the optional trailing columns are exact rationals (default weight
-    ``1 + 0*lam``); ``c`` lines are comments.
+    ``1 + 0*lam``); ``c`` lines are comments.  The header's edge count must
+    equal the number of ``e`` lines.
     """
-    nodes = None
+    nodes = header = declared = None
     edges: list[tuple[int, int]] = []
     weights: list[LinearFn] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -289,6 +287,7 @@ def read_dimacs(text: str, interval: ParamInterval, name: str = "") -> MatroidIn
             if len(parts) != 4 or parts[1] != "edge":
                 raise InstanceFormatError(f"line {lineno}: expected 'p edge N M'")
             nodes = _as_int(_dimacs_int(parts[2], lineno), f"line {lineno}", minimum=1)
+            header, declared = lineno, _dimacs_int(parts[3], lineno)
         elif parts[0] == "e":
             if nodes is None:
                 raise InstanceFormatError(f"line {lineno}: 'e' before 'p edge'")
@@ -306,6 +305,10 @@ def read_dimacs(text: str, interval: ParamInterval, name: str = "") -> MatroidIn
             raise InstanceFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if nodes is None or not edges:
         raise InstanceFormatError("no 'p edge' header or no edges")
+    if declared != len(edges):
+        raise InstanceFormatError(
+            f"line {header}: header declares {declared} edges, found {len(edges)}"
+        )
     return MatroidInstance(
         GraphicMatroid(nodes, tuple(edges)), tuple(weights), interval, name
     )

@@ -215,18 +215,22 @@ def find_candidates(
     component (singleton case); every slope change of the plain or any
     removal value function happens at a kept crossing.
 
-    Components are recomputed per insertion (2-connected components for
-    graphic backends, fundamental circuits otherwise); the amortized
-    incremental structures this trades away are documented in the README.
+    Both tests are incremental, since the restrictions only grow.  Each
+    element keeps the greedy builder of its restriction's basis, whose
+    ``add`` is the rank test, and the restriction's coloops, which are its
+    singleton components apart from loops (loops never merge).  An insertion
+    that raises the rank makes ``f`` a new coloop; otherwise exactly the
+    coloops on ``f``'s fundamental circuit, those ``g`` with ``basis - g + f``
+    independent, stop being coloops and join ``f``'s component.
     """
     view = inst.view()
     m = inst.m
     slope = inst.scaled.b
     order = inst.order_at(start_representative(inst.interval, crossings))
 
-    active: list[set[int]] = []
+    builders = []
     bases: list[set[int]] = []
-    comps = []
+    coloops: list[set[int]] = []
     for e in range(m):
         # f is cheaper at the start and never crosses back above e: the lines
         # are parallel or they already crossed left of the start.
@@ -237,25 +241,27 @@ def find_candidates(
             and order(f) < order(e)
             and slope[f] <= slope[e]
         }
-        active.append(grown)
         builder = inst.backend.builder()
+        builders.append(builder)
         bases.append({f for f in sorted(grown) if builder.add(f)})
-        comps.append(view.restrict(grown).components())
+        coloops.append(set(view.restrict(grown).coloop_scan()))
 
     entries: list[CandidateEntry] = []
     for pt in crossings:
         e, f = pt.lighter_before, pt.lighter_after
-        by_rank = view.is_independent(bases[e] | {f})
+        by_rank = builders[e].add(f)
         if by_rank:
             bases[e].add(f)
-        before = comps[e]
-        active[e].add(f)
-        after = view.restrict(active[e]).components()
-        comps[e] = after
-        merged = after.members[after.component_of(f)]
-        by_singleton = any(
-            g != f and g in before.comp_of and before.is_singleton(g) for g in merged
-        )
+            coloops[e].add(f)
+            by_singleton = False
+        else:
+            merged = {
+                g
+                for g in coloops[e]
+                if view.is_independent([x for x in bases[e] if x != g] + [f])
+            }
+            coloops[e] -= merged
+            by_singleton = bool(merged)
         if by_rank or by_singleton:
             entries.append(CandidateEntry(pt, by_rank, by_singleton))
     return CandidateSet(tuple(entries), tuple(crossings))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .rationals import (
@@ -209,56 +210,59 @@ def envelope_of_lines(
 
     Value ties are resolved toward the smallest label.  The result is
     normalized; the classic slope-ordered hull construction keeps the total
-    work at O(n log n).
+    work at O(n log n).  The hull runs on the lines scaled to integers over
+    their common denominator: slopes are int keys, crossings are compared by
+    cross-multiplication, and only the cuts inside ``window`` become
+    ``Fraction`` values.
     """
     if not lines:
         raise ValueError("need at least one line")
     if not window.is_proper:
         raise ValueError(f"degenerate window {window}")
 
+    scale = lcm(*(d for _, ln in lines for d in (ln.a.denominator, ln.b.denominator)))
     # For equal slopes only the highest intercept can ever win; among fully
     # identical lines the smallest label represents the tie.
-    best_per_slope: dict[Fraction, tuple[Fraction, int]] = {}
+    best_per_slope: dict[int, tuple[int, int, LinearFn]] = {}
     for label, line in lines:
-        incumbent = best_per_slope.get(line.b)
-        candidate = (line.a, label)
+        a = line.a.numerator * (scale // line.a.denominator)
+        b = line.b.numerator * (scale // line.b.denominator)
+        incumbent = best_per_slope.get(b)
         if (
             incumbent is None
-            or candidate[0] > incumbent[0]
-            or (candidate[0] == incumbent[0] and candidate[1] < incumbent[1])
+            or a > incumbent[0]
+            or (a == incumbent[0] and label < incumbent[1])
         ):
-            best_per_slope[line.b] = candidate
-    ordered = [
-        (label, LinearFn(a, b)) for b, (a, label) in sorted(best_per_slope.items())
-    ]
+            best_per_slope[b] = (a, label, line)
 
-    hull: list[tuple[int, LinearFn]] = []
-    crossings: list[Fraction] = []
-    for label, line in ordered:
+    # hull[i] and hull[i + 1] cross at crossings[i] = num / den, with den > 0.
+    hull: list[tuple[int, int, int, LinearFn]] = []
+    crossings: list[tuple[int, int]] = []
+    for b in sorted(best_per_slope):
+        a, label, line = best_per_slope[b]
         while hull:
-            _, top = hull[-1]
-            cross = (top.a - line.a) / (line.b - top.b)
-            if crossings and cross <= crossings[-1]:
+            num, den = hull[-1][0] - a, b - hull[-1][1]
+            if crossings and num * crossings[-1][1] <= crossings[-1][0] * den:
                 hull.pop()
                 crossings.pop()
                 continue
+            crossings.append((num, den))
             break
-        hull.append((label, line))
-        if len(hull) > 1:
-            cross = (hull[-2][1].a - line.a) / (line.b - hull[-2][1].b)
-            crossings.append(cross)
+        hull.append((a, b, label, line))
 
-    first = 0
-    for cross in crossings:
-        if extended(cross) <= window.lo:
-            first += 1
-    kept_cuts = [c for c in crossings if window.strictly_inside(c)]
-    segment = hull[first : first + len(kept_cuts) + 1]
+    first, last = 0, len(crossings)
+    if window.lo.is_finite:
+        p, q = window.lo.value.numerator, window.lo.value.denominator
+        first = sum(1 for num, den in crossings if num * q <= p * den)
+    if window.hi.is_finite:
+        p, q = window.hi.value.numerator, window.hi.value.denominator
+        last = sum(1 for num, den in crossings if num * q < p * den)
+    segment = hull[first : last + 1]
     return PWLFunction.build(
         window,
-        kept_cuts,
-        [line for _, line in segment],
-        [label for label, _ in segment],
+        [Fraction(num, den) for num, den in crossings[first:last]],
+        [line for _, _, _, line in segment],
+        [label for _, _, label, _ in segment],
     )
 
 

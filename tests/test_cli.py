@@ -1,12 +1,20 @@
 import json
+import os
+import random
+import subprocess
 import sys
+import warnings
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import matroid_interdiction
 import matroid_interdiction.parametric as parametric
 from matroid_interdiction import solve_naive
-from matroid_interdiction.cli import main
+from matroid_interdiction.cli import _overfull_window, main
 
 
 P2 = {
@@ -50,6 +58,17 @@ BRIDGE = {
     "nodes": 2,
     "edges": [{"u": 0, "v": 1, "a": "1", "b": "0"}],
     "interval": {"lo": "0", "hi": "1"},
+}
+
+
+# Three lines through (0, 0): three pairs cross at one value, a tie.
+PENCIL = {
+    "type": "uniform",
+    "name": "pencil",
+    "m": 3,
+    "k": 1,
+    "weights": [{"a": "0", "b": "1"}, {"a": "0", "b": "0"}, {"a": "0", "b": "-1"}],
+    "interval": {"lo": "-1", "hi": "1"},
 }
 
 
@@ -383,3 +402,57 @@ class TestDimacsInput:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestWarnings:
+    TIE = (
+        "warning: 1 parameter value(s) carry more than one crossing; "
+        "ties resolve by element id"
+    )
+
+    def test_tie_warning_is_one_line_without_a_source_path(
+        self, instance_file, tmp_path
+    ):
+        src = Path(matroid_interdiction.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = tmp_path / "sol.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "matroid_interdiction", "solve",
+             "--in", instance_file(PENCIL), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [self.TIE]
+        assert ".py:" not in proc.stderr
+
+    def test_warning_filters_still_apply(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", category=parametric.CoincidentEqualityPointsWarning
+            )
+            code = main(["solve", "--in", instance_file(PENCIL), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestOverfullWindow:
+    def test_bisection_matches_the_linear_scan(self):
+        def linear(cuts, lambdas, k):
+            for lo, hi in zip([None] + lambdas, lambdas + [None]):
+                inside = [
+                    c for c in cuts if (lo is None or c > lo) and (hi is None or c < hi)
+                ]
+                if len(inside) > k - 1:
+                    return inside
+            return None
+
+        rng = random.Random(5)
+        pool = [Fraction(i, 4) for i in range(-12, 13)]
+        for _ in range(2000):
+            cuts = tuple(sorted(rng.sample(pool, rng.randint(0, 8))))
+            # Candidate values are drawn from the same pool, so many equal a cut.
+            lambdas = sorted(rng.sample(pool, rng.randint(0, 6)))
+            k = rng.randint(1, 4)
+            sol = SimpleNamespace(value=SimpleNamespace(cuts=cuts))
+            assert _overfull_window(sol, lambdas, k) == linear(cuts, lambdas, k)

@@ -149,6 +149,15 @@ class TestSolutionRoundTrip:
             parse_solution(payload)
 
 
+    def test_reversed_segment_names_its_path(self, c4p):
+        payload = dump_solution(c4p, solve_naive(c4p), {})
+        segment = payload["segments"][1]
+        segment["lo"], segment["hi"] = segment["hi"], segment["lo"]
+        with pytest.raises(InstanceFormatError) as err:
+            parse_solution(payload)
+        assert str(err.value).startswith("solution.segments[1]: ")
+
+
 class TestDimacs:
     def test_minimal_edge_format(self):
         text = """c a triangle with explicit weights
@@ -174,7 +183,18 @@ e 1 3 0 1
             read_dimacs("p edge 2 1\ne 1 5\n", ParamInterval.closed(0, 1))
         with pytest.raises(InstanceFormatError):
             read_dimacs("q edge 2 1\n", ParamInterval.closed(0, 1))
-        for text, lineno in (("p edge x 3\n", 1), ("c x\np edge 2 1\ne 1 2.0\n", 3)):
+        for text, lineno in (
+            ("p edge x 3\n", 1),
+            ("c x\np edge 2 1\ne 1 2.0\n", 3),
+            ("p edge 2 x\ne 1 2\ne 1 2\n", 1),
+        ):
             with pytest.raises(InstanceFormatError) as err:
                 read_dimacs(text, ParamInterval.closed(0, 1))
             assert str(err.value).startswith(f"line {lineno}: ")
+
+    @pytest.mark.parametrize("declared", [1, 3])
+    def test_edge_count_must_match_the_header(self, declared):
+        text = f"c two parallel edges\np edge 2 {declared}\ne 1 2\ne 1 2\n"
+        with pytest.raises(InstanceFormatError) as err:
+            read_dimacs(text, ParamInterval.closed(0, 1))
+        assert str(err.value) == f"line 2: header declares {declared} edges, found 2"

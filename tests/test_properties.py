@@ -5,8 +5,9 @@ Small graphic, uniform and doubled instances with weight coefficients in
 crossings, parallel and identical weight lines are the common case, over
 bounded, half-bounded and unbounded intervals.  The three solvers must agree
 exactly, the integer order kernel must agree with ``Fraction`` arithmetic,
-and every ``check`` self-check must pass.  Examples are derandomized so
-every run checks the same instances.
+the incremental candidate filter and the integer line envelope must agree
+with plain recomputations, and every ``check`` self-check must pass.
+Examples are derandomized so every run checks the same instances.
 """
 
 from fractions import Fraction
@@ -22,16 +23,20 @@ from matroid_interdiction import (
     ParamInterval,
     UniformMatroid,
     doubled_instance,
+    envelope_of_lines,
     equality_point,
+    find_candidates,
     solve_bruteforce,
     solve_intervals,
     solve_naive,
 )
 from matroid_interdiction.cli import _run_checks
+from matroid_interdiction.interdiction import CandidateEntry
 from matroid_interdiction.parametric import (
     group_by_lambda,
     interior_crossings,
     perturbed_bundle_order,
+    start_representative,
 )
 
 INTEGER_COEFF = st.sampled_from(range(-2, 3))
@@ -91,7 +96,8 @@ def uniform_backends(draw, max_size: int, coloops_ok: bool) -> UniformMatroid:
 
 
 @st.composite
-def instances(draw) -> MatroidInstance:
+def instances(draw, coloops_ok: bool = False) -> MatroidInstance:
+    """Solver inputs; ``coloops_ok`` also admits bridges and uniform k = m."""
     kind = draw(st.sampled_from(["graphic", "uniform", "doubled"]))
     if kind == "doubled":
         # Doubling repairs every coloop, so the base may have bridges.
@@ -102,9 +108,9 @@ def instances(draw) -> MatroidInstance:
             )
         )
     elif kind == "graphic":
-        backend = draw(graphic_backends(8, bridges_ok=False))
+        backend = draw(graphic_backends(8, bridges_ok=coloops_ok))
     else:
-        backend = draw(uniform_backends(7, coloops_ok=False))
+        backend = draw(uniform_backends(7, coloops_ok=coloops_ok))
     inst = MatroidInstance(
         backend, draw(weight_lines(backend.size)), draw(INTERVALS), ""
     )
@@ -174,3 +180,111 @@ def test_integer_kernel_matches_fraction_arithmetic(inst, lams, data):
 def test_every_structural_check_passes(inst):
     failed = [(name, detail) for name, ok, detail in _run_checks(inst) if not ok]
     assert not failed
+
+
+def recomputed_candidates(inst: MatroidInstance, crossings) -> list[CandidateEntry]:
+    """The candidate filter with components and ranks recomputed per insertion."""
+    view = inst.view()
+    weight = inst.weights_at(start_representative(inst.interval, crossings))
+    active = [
+        {
+            f
+            for f in range(inst.m)
+            if f != e
+            and weight(f) < weight(e)
+            and inst.weights[f].b <= inst.weights[e].b
+        }
+        for e in range(inst.m)
+    ]
+    comps = [view.restrict(grown).components() for grown in active]
+    out = []
+    for pt in crossings:
+        e, f = pt.lighter_before, pt.lighter_after
+        before = comps[e]
+        rank_before = view.restrict(active[e]).rank()
+        active[e].add(f)
+        after = view.restrict(active[e]).components()
+        comps[e] = after
+        by_rank = view.restrict(active[e]).rank() > rank_before
+        by_singleton = any(
+            g != f and g in before.comp_of and before.is_singleton(g)
+            for g in after.members[after.component_of(f)]
+        )
+        if by_rank or by_singleton:
+            out.append(CandidateEntry(pt, by_rank, by_singleton))
+    return out
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instances(coloops_ok=True))
+def test_incremental_candidate_filter_matches_recomputed_components(inst):
+    crossings = interior_crossings(inst)
+    found = find_candidates(inst, crossings)
+    assert list(found.entries) == recomputed_candidates(inst, crossings)
+    assert found.crossings == tuple(crossings)
+
+
+# Denominators 2, 3 and 5 make the envelope's common scale 30.
+MIXED_COEFF = st.sampled_from(
+    sorted({Fraction(p, q) for q in (1, 2, 3, 5) for p in range(-2 * q, 2 * q + 1)})
+)
+
+
+@st.composite
+def envelope_cases(draw) -> tuple[list[tuple[int, LinearFn]], ParamInterval]:
+    """Free lines, a pencil through one point (coincident hull crossings) and
+    copies of earlier lines (identical lines), under shuffled labels, over a
+    window whose finite ends may sit on the pencil's point."""
+    x0, y0 = draw(MIXED_COEFF), draw(MIXED_COEFF)
+    free = draw(st.integers(0, 4))
+    lines = [LinearFn(draw(MIXED_COEFF), draw(MIXED_COEFF)) for _ in range(free)]
+    for b in draw(st.lists(MIXED_COEFF, max_size=4)):
+        lines.append(LinearFn(y0 - b * x0, b))
+    if not lines:
+        lines.append(LinearFn(y0, 0))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(draw(st.sampled_from(lines)))
+    labels = draw(st.permutations(range(len(lines))))
+    end = st.one_of(MIXED_COEFF, st.just(x0))
+    lo = draw(st.one_of(st.just("-inf"), end))
+    hi = draw(st.one_of(st.just("inf"), end))
+    if lo != "-inf" and hi != "inf" and not lo < hi:
+        lo, hi = ("-inf", hi) if lo == hi else (hi, lo)
+    return list(zip(labels, lines)), ParamInterval.closed(lo, hi)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(envelope_cases())
+def test_line_envelope_is_the_pointwise_maximum(case):
+    lines, window = case
+    env = envelope_of_lines(lines, window)
+    events = {
+        pt.lam
+        for (_, f), (_, g) in combinations(lines, 2)
+        for pt in (equality_point(0, f, 1, g),)
+        if pt is not None and window.strictly_inside(pt.lam)
+    }
+    events |= {end.value for end in (window.lo, window.hi) if end.is_finite}
+    events = sorted(events) or [Fraction(0)]
+    # Every event, a point between each pair of neighbours, and one beyond
+    # each end that is open to infinity.
+    between = [(lo + hi) / 2 for lo, hi in zip(events, events[1:])]
+    if not window.lo.is_finite:
+        between.append(events[0] - 1)
+    if not window.hi.is_finite:
+        between.append(events[-1] + 1)
+    for lam in events + between:
+        if window.contains(lam):
+            assert env.value_at(lam) == max(line(lam) for _, line in lines)
+    # Between events the maximizers are fixed: the label is the smallest one.
+    for lam in between:
+        top = max(line(lam) for _, line in lines)
+        assert env.label_at(lam) == min(
+            label for label, line in lines if line(lam) == top
+        )
