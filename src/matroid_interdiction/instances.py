@@ -15,7 +15,7 @@ from typing import Any
 
 from .matroid import DoubledMatroid, GraphicMatroid, UniformMatroid
 from .parametric import MatroidInstance
-from .pwl import LinearFn
+from .pwl import LinearFn, PWLError, PWLFunction
 from .rationals import ExtendedRational, ParamInterval, extended, rational
 from .solution import Segment, Solution
 
@@ -60,6 +60,11 @@ def _check_keys(data: dict, allowed: set[str], required: set[str], path: str):
     missing = required - set(data)
     if missing:
         raise _fail(path, f"missing keys {sorted(missing)}")
+
+
+def _check_list(data: Any, path: str):
+    if not isinstance(data, list):
+        raise _fail(path, f"expected a list, got {type(data).__name__}")
 
 
 def _parse_weight(data: Any, path: str) -> LinearFn:
@@ -216,6 +221,7 @@ def parse_solution(data: Any, path: str = "solution") -> tuple[str, Solution, di
         {"instance", "interval", "segments", "stats"}, path,
     )
     interval = _parse_interval(data["interval"], f"{path}.interval")
+    _check_list(data["segments"], f"{path}.segments")
     segments = []
     for i, item in enumerate(data["segments"]):
         spath = f"{path}.segments[{i}]"
@@ -225,6 +231,7 @@ def parse_solution(data: Any, path: str = "solution") -> tuple[str, Solution, di
         )
         window = _parse_interval({"lo": item["lo"], "hi": item["hi"]}, spath)
         value = _parse_weight(item["value"], f"{spath}.value")
+        _check_list(item["basis"], f"{spath}.basis")
         segments.append(
             Segment(
                 window,
@@ -242,8 +249,6 @@ def parse_solution(data: Any, path: str = "solution") -> tuple[str, Solution, di
 
 
 def _value_from_segments(interval, segments, path):
-    from .pwl import PWLFunction
-
     if not segments:
         raise _fail(f"{path}.segments", "expected at least one segment")
     cuts = []
@@ -255,7 +260,10 @@ def _value_from_segments(interval, segments, path):
         pieces.append(seg.value)
     if segments[0].window.lo != interval.lo or segments[-1].window.hi != interval.hi:
         raise _fail(f"{path}.segments", "segments do not cover the interval")
-    return PWLFunction.build(interval, cuts, pieces)
+    try:
+        return PWLFunction.build(interval, cuts, pieces)
+    except PWLError as exc:  # value lines that do not meet at a shared end
+        raise _fail(f"{path}.segments", str(exc)) from None
 
 
 def _dimacs_int(text: str, lineno: int) -> int:

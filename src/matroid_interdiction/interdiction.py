@@ -195,7 +195,13 @@ class CandidateSet:
     crossings: tuple[EqualityPoint, ...]
 
     def lambdas(self) -> list[Fraction]:
-        return sorted({entry.point.lam for entry in self.entries})
+        """The distinct candidate values, in order (the entries are sorted)."""
+        out: list[Fraction] = []
+        for entry in self.entries:
+            lam = entry.point.lam
+            if not out or out[-1] != lam:
+                out.append(lam)
+        return out
 
     def __len__(self) -> int:
         return len(self.entries)

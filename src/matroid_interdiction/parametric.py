@@ -15,8 +15,10 @@ After each bundle the basis is checked once against a fresh greedy run, so a
 degenerate bundle can never silently corrupt the schedule.
 
 Orders, crossings and basis lines are computed on the instance's weight lines
-scaled to integers (:meth:`MatroidInstance.order_at`); ``Fraction`` appears
-only where a value leaves the sweep: crossing positions and value lines.
+scaled to integers (:meth:`MatroidInstance.order_at`), and the crossings are
+filtered and sorted by integer keys (:func:`interior_crossings`); ``Fraction``
+appears only where a value leaves the sweep: crossing positions, the
+representative points that verify bundles, and value lines.
 """
 
 from __future__ import annotations
@@ -136,20 +138,38 @@ def interior_crossings(inst: MatroidInstance) -> list[EqualityPoint]:
     Sorted by (value, lighter-before id, lighter-after id).  Crossings shared
     by several pairs are kept; unlike :func:`all_equality_points` this emits
     no warning about them.
+
+    Everything before the output is integer arithmetic on the scaled lines:
+    a crossing ``num/den`` (``den > 0``) is tested against the interval by
+    cross-multiplication and sorted by ``((num << 64) // den, e, f)``.  That
+    key is floor(value * 2**64), which never decreases as the value grows, so
+    the order is exact unless one key holds two different values; only then
+    are the crossings sorted again by the exact ``Fraction`` key.
     """
     _, a, b = inst.scaled
-    inside = inst.interval.strictly_inside
-    points = []
+    # (p, q) of each finite end of the interval; q = 0 marks an infinite end.
+    lo, hi = inst.interval.lo, inst.interval.hi
+    lo_p, lo_q = (lo.value.numerator, lo.value.denominator) if lo.is_finite else (0, 0)
+    hi_p, hi_q = (hi.value.numerator, hi.value.denominator) if hi.is_finite else (0, 0)
+    found = []
     for i, j in combinations(range(inst.m), 2):
-        if b[i] == b[j]:
-            continue  # parallel lines never cross
-        lam = Fraction(a[j] - a[i], b[i] - b[j])
-        if inside(lam):
+        if b[i] > b[j]:
             # the steeper line is the lighter one before the crossing
-            points.append(
-                EqualityPoint(i, j, lam) if b[i] > b[j] else EqualityPoint(j, i, lam)
-            )
-    points.sort(key=lambda p: (p.lam, p.lighter_before, p.lighter_after))
+            e, f, num, den = i, j, a[j] - a[i], b[i] - b[j]
+        elif b[i] < b[j]:
+            e, f, num, den = j, i, a[i] - a[j], b[j] - b[i]
+        else:
+            continue  # parallel lines never cross
+        if (lo_q and num * lo_q <= lo_p * den) or (hi_q and num * hi_q >= hi_p * den):
+            continue
+        found.append(((num << 64) // den, e, f, num, den))
+    found.sort()
+    points = [EqualityPoint(e, f, Fraction(num, den)) for _, e, f, num, den in found]
+    if any(
+        k1 == k2 and n1 * d2 != n2 * d1
+        for (k1, _, _, n1, d1), (k2, _, _, n2, d2) in zip(found, found[1:])
+    ):
+        points.sort(key=lambda p: (p.lam, p.lighter_before, p.lighter_after))
     return points
 
 
@@ -235,7 +255,7 @@ def advance_min_basis(
     view: MatroidView,
     basis: frozenset[int],
     group: Sequence[EqualityPoint],
-    right_rep: Fraction,
+    right_rep: Fraction | None,
     order_at: Callable[[Fraction], Callable[[int], int]],
     slopes: Sequence[int],
 ) -> tuple[frozenset[int], list[SwapRecord]]:
@@ -244,8 +264,9 @@ def advance_min_basis(
     A lone crossing needs a single independence test.  A coincident bundle is
     processed point by point in the id-perturbation order, which makes every
     step an ordinary isolated crossing of the perturbed instance; the result
-    is then verified against a fresh greedy run just right of the bundle as a
-    hard internal invariant.
+    is then verified against a fresh greedy run at ``right_rep``, a point
+    just right of the bundle, as a hard internal invariant.  Lone crossings
+    never read ``right_rep``, so callers may pass None for them.
     """
     records: list[SwapRecord] = []
     for pt in perturbed_bundle_order(group, slopes):
@@ -305,8 +326,10 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     bases: list[frozenset[int]] = [basis]
     swaps: list[tuple[int, int]] = []
     for idx, (lam, group) in enumerate(groups):
-        right_end = extended(groups[idx + 1][0]) if idx + 1 < len(groups) else interval.hi
-        right_rep = interior_point(extended(lam), right_end)
+        right_rep = None  # read only to verify a bundle
+        if len(group) > 1:
+            right_end = extended(groups[idx + 1][0]) if idx + 1 < len(groups) else interval.hi
+            right_rep = interior_point(extended(lam), right_end)
         basis, records = advance_min_basis(
             view, basis, group, right_rep, inst.order_at, inst.scaled.b
         )

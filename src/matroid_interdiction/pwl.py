@@ -12,11 +12,17 @@ Normalization: a cut is kept only if the line, or the piece label, changes
 across it.  Label-only cuts (same line, different winner) can occur when two
 elements tie along a whole piece; value-level comparisons always ignore them
 (see :func:`pwl_equal`).
+
+Validation: every cut is checked once, where it enters a function.
+:meth:`PWLFunction.build` checks its cuts in integers (continuity by
+cross-multiplication, no line evaluated in ``Fraction``); :func:`stitch`
+checks only the seams between parts that were built already; and
+:meth:`PWLFunction.drop_labels` only normalizes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -88,6 +94,56 @@ class PWLError(ValueError):
     """A proposed piecewise-linear function violates its invariants."""
 
 
+def _check_meet(left: LinearFn, right: LinearFn, cut: Fraction):
+    """Raise :class:`PWLError` unless ``left(cut) == right(cut)``.
+
+    With ``cut = p/q``, ``q * line(cut) = a*q + b*p``; the two sides are
+    compared as integers by cross-multiplying the coefficients' denominators,
+    so no ``Fraction`` is built unless the check fails.
+    """
+    if left is right:
+        return
+    p, q = cut.numerator, cut.denominator
+    la, lb, ra, rb = left.a, left.b, right.a, right.b
+    lad, lbd, rad, rbd = la.denominator, lb.denominator, ra.denominator, rb.denominator
+    if (la.numerator * lbd * q + lb.numerator * lad * p) * (rad * rbd) != (
+        ra.numerator * rbd * q + rb.numerator * rad * p
+    ) * (lad * lbd):
+        raise PWLError(f"discontinuity at {cut}: {left(cut)} != {right(cut)}")
+
+
+def _merged(
+    domain: ParamInterval,
+    cuts: Sequence[Fraction],
+    pieces: Sequence[LinearFn],
+    labels: Sequence[int] | None,
+) -> "PWLFunction":
+    """Drop every cut across which neither the line nor the label changes.
+
+    No validation: the caller has checked the cuts and pieces.
+    """
+    out_cuts: list[Fraction] = []
+    out_pieces: list[LinearFn] = [pieces[0]]
+    out_labels: list[int] | None = [labels[0]] if labels is not None else None
+    for i, cut in enumerate(cuts):
+        piece = pieces[i + 1]
+        label = labels[i + 1] if labels is not None else None
+        same_line = piece == out_pieces[-1]
+        same_label = out_labels is None or label == out_labels[-1]
+        if same_line and same_label:
+            continue
+        out_cuts.append(cut)
+        out_pieces.append(piece)
+        if out_labels is not None:
+            out_labels.append(label)  # type: ignore[arg-type]
+    return PWLFunction(
+        domain,
+        tuple(out_cuts),
+        tuple(out_pieces),
+        tuple(out_labels) if out_labels is not None else None,
+    )
+
+
 @dataclass(frozen=True)
 class PWLFunction:
     """A continuous piecewise-linear function on a parameter interval.
@@ -113,8 +169,10 @@ class PWLFunction:
         """Validate and normalize raw pieces into canonical form.
 
         Raises :class:`PWLError` on a count mismatch, unsorted or non-interior
-        cuts, or a discontinuity.  Merges every cut across which neither the
-        line nor the label changes.
+        cuts, or a discontinuity.  Each cut is checked once: strictly
+        increasing cuts are all interior once the outermost two are, and
+        continuity is an integer identity (see :func:`_check_meet`).  Merges
+        every cut across which neither the line nor the label changes.
         """
         if not domain.is_proper:
             raise PWLError(f"degenerate domain {domain}")
@@ -124,36 +182,15 @@ class PWLFunction:
             )
         if labels is not None and len(labels) != len(pieces):
             raise PWLError("labels must be one per piece")
+        inside = domain.strictly_inside
+        if cuts and not (inside(cuts[0]) and inside(cuts[-1])):
+            outside = next(cut for cut in cuts if not inside(cut))
+            raise PWLError(f"cut {outside} not interior to {domain}")
         for i, cut in enumerate(cuts):
             if i > 0 and not cuts[i - 1] < cut:
                 raise PWLError(f"cuts not strictly increasing at {cut}")
-            if not domain.strictly_inside(cut):
-                raise PWLError(f"cut {cut} not interior to {domain}")
-            left, right = pieces[i], pieces[i + 1]
-            if left(cut) != right(cut):
-                raise PWLError(
-                    f"discontinuity at {cut}: {left(cut)} != {right(cut)}"
-                )
-        out_cuts: list[Fraction] = []
-        out_pieces: list[LinearFn] = [pieces[0]]
-        out_labels: list[int] | None = [labels[0]] if labels is not None else None
-        for i, cut in enumerate(cuts):
-            piece = pieces[i + 1]
-            label = labels[i + 1] if labels is not None else None
-            same_line = piece == out_pieces[-1]
-            same_label = out_labels is None or label == out_labels[-1]
-            if same_line and same_label:
-                continue
-            out_cuts.append(cut)
-            out_pieces.append(piece)
-            if out_labels is not None:
-                out_labels.append(label)  # type: ignore[arg-type]
-        return PWLFunction(
-            domain,
-            tuple(out_cuts),
-            tuple(out_pieces),
-            tuple(out_labels) if out_labels is not None else None,
-        )
+            _check_meet(pieces[i], pieces[i + 1], cut)
+        return _merged(domain, cuts, pieces, labels)
 
     @staticmethod
     def from_line(domain: ParamInterval, line: LinearFn, label: int | None = None) -> "PWLFunction":
@@ -178,9 +215,10 @@ class PWLFunction:
         return self.labels[idx]
 
     def drop_labels(self) -> "PWLFunction":
+        """The same function unlabeled; label-only cuts merge, nothing is re-checked."""
         if self.labels is None:
             return self
-        return PWLFunction.build(self.domain, self.cuts, self.pieces, None)
+        return _merged(self.domain, self.cuts, self.pieces, None)
 
     def piece_windows(self) -> list[tuple[ExtendedRational, ExtendedRational, LinearFn, int | None]]:
         """The pieces as (start, end, line, label) with extended endpoints."""
@@ -275,8 +313,10 @@ def envelope_of_pwl(
     strictly inside ``window`` split it into sub-windows on which every input
     is a single line; each sub-window takes one :func:`envelope_of_lines` over
     the pieces of all inputs there, and :func:`stitch` joins the results.  The
-    cost is one line envelope over all ``t`` inputs per sub-window.  Each open
-    piece is labeled with the smallest label among its maximizers.
+    cost is one line envelope over all ``t`` inputs per sub-window.  Each
+    input keeps a pointer to its current piece, which moves once per cut of
+    that input, so no piece is searched for.  Each open piece is labeled with
+    the smallest label among its maximizers.
     """
     if not fs:
         raise ValueError("need at least one function")
@@ -285,34 +325,57 @@ def envelope_of_pwl(
     for _, fn in fs:
         if not (fn.domain.lo <= window.lo and window.hi <= fn.domain.hi):
             raise ValueError(f"window {window} not inside domain {fn.domain}")
-    cuts = sorted({c for _, fn in fs for c in fn.cuts if window.strictly_inside(c)})
-    bounds = [window.lo] + [extended(c) for c in cuts] + [window.hi]
+    # owners[c]: the inputs with a cut at c; pos[j]: input j's current piece.
+    owners: dict[Fraction, list[int]] = {}
+    pos: list[int] = []
+    current: list[tuple[int, LinearFn]] = []
+    for j, (label, fn) in enumerate(fs):
+        start = bisect_right(fn.cuts, window.lo.value) if window.lo.is_finite else 0
+        stop = bisect_left(fn.cuts, window.hi.value) if window.hi.is_finite else len(fn.cuts)
+        for cut in fn.cuts[start:stop]:
+            owners.setdefault(cut, []).append(j)
+        pos.append(start)
+        current.append((label, fn.pieces[start]))
     parts = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        sub = ParamInterval(lo, hi)
-        rep = sub.representative()
-        lines = [(label, fn.pieces[bisect_left(fn.cuts, rep)]) for label, fn in fs]
-        parts.append(envelope_of_lines(lines, sub))
+    lo = window.lo
+    for cut in sorted(owners):
+        hi = extended(cut)
+        parts.append(envelope_of_lines(current, ParamInterval(lo, hi)))
+        for j in owners[cut]:
+            label, fn = fs[j]
+            pos[j] += 1
+            current[j] = (label, fn.pieces[pos[j]])
+        lo = hi
+    parts.append(envelope_of_lines(current, ParamInterval(lo, window.hi)))
     return stitch(window, parts)
 
 
 def stitch(domain: ParamInterval, parts: Sequence[PWLFunction]) -> PWLFunction:
     """Join labeled functions whose domains tile ``domain``, left to right.
 
-    The start of every part after the first becomes a cut; a single
-    :meth:`PWLFunction.build` checks continuity at those seams and merges the
-    ones across which neither the line nor the label changes.  The oracle
+    Every part is a built function, so its own cuts were checked when it was
+    built (by :func:`envelope_of_lines`, for the solvers).  Only what joining
+    adds is checked here: that the parts tile ``domain`` and that the lines
+    meet at every seam.  The start of every part after the first becomes a
+    cut unless neither the line nor the label changes across it.  The oracle
     (:func:`.oracle.solve_bruteforce`) keeps its own copy of this loop on
     purpose: the reference solver shares no assembly code with the solvers
     it checks.
     """
-    cuts: list[Fraction] = []
-    pieces: list[LinearFn] = []
-    labels: list[int] = []
-    for part in parts:
-        if pieces:
-            cuts.append(part.domain.lo.value)
+    if not parts or parts[0].domain.lo != domain.lo or parts[-1].domain.hi != domain.hi:
+        raise PWLError(f"parts do not tile {domain}")
+    cuts = list(parts[0].cuts)
+    pieces = list(parts[0].pieces)
+    labels = list(parts[0].labels)
+    for prev, part in zip(parts, parts[1:]):
+        if prev.domain.hi != part.domain.lo:
+            raise PWLError(f"parts do not tile {domain}")
+        seam = part.domain.lo.value
+        _check_meet(pieces[-1], part.pieces[0], seam)
+        merge = part.pieces[0] == pieces[-1] and part.labels[0] == labels[-1]
+        if not merge:
+            cuts.append(seam)
         cuts.extend(part.cuts)
-        pieces.extend(part.pieces)
-        labels.extend(part.labels)
-    return PWLFunction.build(domain, cuts, pieces, labels)
+        pieces.extend(part.pieces[merge:])  # on a merge, part.pieces[0] equals pieces[-1]
+        labels.extend(part.labels[merge:])
+    return PWLFunction(domain, tuple(cuts), tuple(pieces), tuple(labels))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .parametric import MatroidInstance
 from .pwl import LinearFn, PWLFunction
@@ -61,26 +62,24 @@ def build_solution(inst: MatroidInstance, labeled: PWLFunction) -> Solution:
     envelope; a most vital element must additionally lie in the optimal
     basis.  When weights tie so hard that a non-basis element shares the
     winning value line, the smallest basis element with the same line is
-    reported instead -- its removal is exactly as damaging.
+    reported instead -- its removal is exactly as damaging.  The basis and
+    the replacement scans of each piece use the integer order keys
+    (:meth:`.MatroidInstance.order_at`) at the piece's interior point.
     """
     view = inst.view()
     raw: list[Segment] = []
     for lo, hi, line, label in labeled.piece_windows():
         rep = interior_point(lo, hi)
-        basis = view.greedy_min_basis(inst.order_at(rep))
-        weight_at = inst.weights_at(rep)
+        order = inst.order_at(rep)
+        basis = view.greedy_min_basis(order)
         most_vital = label
         assert most_vital is not None
         if most_vital not in basis:
-            most_vital = _matching_basis_element(inst, view, basis, line, rep)
-        replacement = view.replacement_element(basis, most_vital, weight_at)
+            most_vital = _matching_basis_element(inst, view, basis, line, order)
+        replacement = view.replacement_element(basis, most_vital, order)
         if replacement is None:
             raise AssertionError("replacement vanished on a coloop-free instance")
-        identity = (
-            inst.basis_line(basis)
-            - inst.weight_fn(most_vital)
-            + inst.weight_fn(replacement)
-        )
+        identity = inst.basis_line(basis - {most_vital} | {replacement})
         if identity != line:
             raise AssertionError(
                 f"segment line {line} does not match basis identity {identity}"
@@ -98,16 +97,13 @@ def _matching_basis_element(
     view,
     basis: frozenset[int],
     line: LinearFn,
-    rep: Fraction,
+    order: Callable[[int], int],
 ) -> int:
-    weight_at = inst.weights_at(rep)
-    base_line = inst.basis_line(basis)
     for e in sorted(basis):
-        repl = view.replacement_element(basis, e, weight_at)
+        repl = view.replacement_element(basis, e, order)
         if repl is None:
             continue
-        candidate = base_line - inst.weight_fn(e) + inst.weight_fn(repl)
-        if candidate == line:
+        if inst.basis_line(basis - {e} | {repl}) == line:
             return e
     raise AssertionError("no basis element matches the winning value line")
 

@@ -157,6 +157,27 @@ class TestSolutionRoundTrip:
             parse_solution(payload)
         assert str(err.value).startswith("solution.segments[1]: ")
 
+    def test_discontinuous_segments_name_their_path(self, c4p):
+        payload = dump_solution(c4p, solve_naive(c4p), {})
+        payload["segments"][1]["value"]["a"] = "100"
+        with pytest.raises(InstanceFormatError) as err:
+            parse_solution(payload)
+        assert str(err.value).startswith("solution.segments: discontinuity at ")
+
+    def test_segments_must_be_a_list(self, c4p):
+        payload = dump_solution(c4p, solve_naive(c4p), {})
+        payload["segments"] = 3
+        with pytest.raises(InstanceFormatError) as err:
+            parse_solution(payload)
+        assert str(err.value) == "solution.segments: expected a list, got int"
+
+    def test_basis_must_be_a_list(self, c4p):
+        payload = dump_solution(c4p, solve_naive(c4p), {})
+        payload["segments"][0]["basis"] = 3
+        with pytest.raises(InstanceFormatError) as err:
+            parse_solution(payload)
+        assert str(err.value) == "solution.segments[0].basis: expected a list, got int"
+
 
 class TestDimacs:
     def test_minimal_edge_format(self):

@@ -6,13 +6,16 @@ crossings, parallel and identical weight lines are the common case, over
 bounded, half-bounded and unbounded intervals.  The three solvers must agree
 exactly, the integer order kernel must agree with ``Fraction`` arithmetic,
 the incremental candidate filter and the integer line envelope must agree
-with plain recomputations, and every ``check`` self-check must pass.
+with plain recomputations, and every ``check`` self-check must pass.  The
+integer continuity check and crossing order are also run on coefficients up
+to 2**80 with values 2**-70 apart, against ``Fraction`` arithmetic.
 Examples are derandomized so every run checks the same instances.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +24,7 @@ from matroid_interdiction import (
     LinearFn,
     MatroidInstance,
     ParamInterval,
+    PWLFunction,
     UniformMatroid,
     doubled_instance,
     envelope_of_lines,
@@ -32,6 +36,7 @@ from matroid_interdiction import (
 )
 from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.interdiction import CandidateEntry
+from matroid_interdiction.pwl import PWLError
 from matroid_interdiction.parametric import (
     group_by_lambda,
     interior_crossings,
@@ -288,3 +293,110 @@ def test_line_envelope_is_the_pointwise_maximum(case):
         assert env.label_at(lam) == min(
             label for label, line in lines if line(lam) == top
         )
+
+
+# Huge coefficients: the integer checks must not lose exactness at any size.
+HUGE = 2**80
+TINY = Fraction(1, 2**70)
+HUGE_FRACTION = st.builds(
+    Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)
+)
+
+
+@st.composite
+def joined_pieces(draw) -> tuple[list[Fraction], list[LinearFn]]:
+    """Lines joined at increasing cuts, each seam exact or off by 2**-70."""
+    cuts = sorted(draw(st.sets(HUGE_FRACTION, min_size=1, max_size=3)))
+    pieces = [LinearFn(draw(HUGE_FRACTION), draw(HUGE_FRACTION))]
+    for cut in cuts:
+        left = pieces[-1]
+        if draw(st.booleans()):
+            pieces.append(left)
+            continue
+        slope = draw(HUGE_FRACTION)
+        offset = draw(st.sampled_from([0, 0, TINY, -TINY]))
+        pieces.append(LinearFn(left(cut) - slope * cut + offset, slope))
+    return cuts, pieces
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(joined_pieces())
+def test_integer_continuity_check_matches_fraction_arithmetic(case):
+    cuts, pieces = case
+    domain = ParamInterval.closed("-inf", "inf")
+    broken = [
+        (cut, left(cut), right(cut))
+        for cut, left, right in zip(cuts, pieces, pieces[1:])
+        if left(cut) != right(cut)
+    ]
+    if not broken:
+        fn = PWLFunction.build(domain, cuts, pieces)
+        assert [fn.value_at(cut) for cut in cuts] == [
+            left(cut) for cut, left in zip(cuts, pieces)
+        ]
+        return
+    cut, lhs, rhs = broken[0]
+    with pytest.raises(PWLError) as err:
+        PWLFunction.build(domain, cuts, pieces)
+    assert str(err.value) == f"discontinuity at {cut}: {lhs} != {rhs}"
+
+
+@st.composite
+def close_crossings(draw) -> MatroidInstance:
+    """Two pencils of lines through points 2**-70 apart (coincident bundles
+    whose values share the integer sort key), plus free lines, all with
+    coefficients up to 2**80, over an interval whose ends may sit on a pencil."""
+    x0 = draw(HUGE_FRACTION)
+    centres = [x0, x0 + TINY]
+    lines = []
+    for x in centres:
+        y = draw(HUGE_FRACTION)
+        for b in draw(st.sets(st.integers(-HUGE, HUGE), min_size=2, max_size=3)):
+            lines.append(LinearFn(y - b * x, b))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(LinearFn(draw(HUGE_FRACTION), draw(HUGE_FRACTION)))
+    order = draw(st.permutations(range(len(lines))))
+    end = st.sampled_from(centres + [x0 - 1, x0 + 1])
+    lo = draw(st.one_of(st.just("-inf"), end))
+    hi = draw(st.one_of(st.just("inf"), end))
+    if lo != "-inf" and hi != "inf" and not lo < hi:
+        lo, hi = ("-inf", hi) if lo == hi else (hi, lo)
+    return MatroidInstance(
+        UniformMatroid(len(lines), 1),
+        tuple(lines[i] for i in order),
+        ParamInterval.closed(lo, hi),
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(close_crossings())
+def test_integer_crossing_order_is_the_exact_order(inst):
+    points = [
+        pt
+        for i, j in combinations(range(inst.m), 2)
+        for pt in (equality_point(i, inst.weights[i], j, inst.weights[j]),)
+        if pt is not None and inst.interval.strictly_inside(pt.lam)
+    ]
+    expected = sorted(points, key=lambda p: (p.lam, p.lighter_before, p.lighter_after))
+    assert interior_crossings(inst) == expected
+
+
+@st.composite
+def labeled_functions(draw) -> PWLFunction:
+    """Continuous functions whose pieces often repeat a line, under few labels,
+    so both label-only cuts and cuts that merge once labels go are common."""
+    domain = draw(INTERVALS)
+    inner = [c for c in (Fraction(k, 4) for k in range(-12, 13)) if domain.strictly_inside(c)]
+    cuts = sorted(draw(st.sets(st.sampled_from(inner), max_size=6)))
+    pieces = [LinearFn(draw(FRACTION_COEFF), draw(FRACTION_COEFF))]
+    for cut in cuts:
+        slope = draw(st.sampled_from([pieces[-1].b, pieces[-1].b, draw(FRACTION_COEFF)]))
+        pieces.append(LinearFn(pieces[-1](cut) - slope * cut, slope))
+    labels = [draw(st.integers(0, 2)) for _ in pieces]
+    return PWLFunction.build(domain, cuts, pieces, labels)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(labeled_functions())
+def test_drop_labels_is_the_checked_build_without_labels(fn):
+    assert fn.drop_labels() == PWLFunction.build(fn.domain, fn.cuts, fn.pieces)
