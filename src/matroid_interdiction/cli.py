@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import warnings
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .instances import (
@@ -35,13 +34,13 @@ from .interdiction import (
     find_candidates,
     naive_solution,
     removal_value_functions,
-    solve_intervals,
     solve_naive,
     window_solution,
 )
 from .matroid import ColoopError, GraphicMatroid
 from .oracle import compare, interdict_at, solve_bruteforce
-from .parametric import MatroidInstance, interior_crossings, parametric_min_basis
+from .parametric import CoincidentEqualityPointsWarning, MatroidInstance
+from .parametric import interior_crossings, parametric_min_basis
 from .pwl import pwl_equal
 from .rationals import ParamInterval, extended, format_rational
 
@@ -101,14 +100,19 @@ def _stats(inst: MatroidInstance, schedule, candidates, sol) -> dict:
 
 
 def _overfull_window(sol, lambdas, k) -> list[Fraction] | None:
-    """The slope changes of the first candidate window holding more than k - 1."""
-    cuts = sol.value.cuts
-    for lo, hi in zip([None] + lambdas, lambdas + [None]):
-        start = 0 if lo is None else bisect_right(cuts, lo)
-        stop = len(cuts) if hi is None else bisect_left(cuts, hi)
-        if stop - start > k - 1:
-            return list(cuts[start:stop])
-    return None
+    """The slope changes of the first candidate window holding more than k - 1.
+
+    One merge walk: a cut above ``j`` candidate values lies in window ``j``,
+    unless it equals the next value.
+    """
+    windows: dict[int, list[Fraction]] = {}
+    j = 0
+    for cut in sol.value.cuts:
+        while j < len(lambdas) and lambdas[j] < cut:
+            j += 1
+        if j == len(lambdas) or lambdas[j] != cut:
+            windows.setdefault(j, []).append(cut)
+    return next((cuts for cuts in windows.values() if len(cuts) > k - 1), None)
 
 
 def cmd_solve(args) -> int:
@@ -126,7 +130,8 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
     schedule = parametric_min_basis(inst)
     removal = removal_value_functions(inst, schedule)
     naive = naive_solution(inst, removal)
-    intervals = solve_intervals(inst)
+    candidates = find_candidates(inst, schedule.points)
+    intervals = window_solution(inst, candidates)
     brute = solve_bruteforce(inst)
     k = len(schedule.bases[0])
     checks: list[tuple[str, bool, str]] = []
@@ -143,7 +148,6 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
             detail = f"first divergence at {lam}: {lhs} vs {rhs}"
         checks.append((f"solver agreement: {name}", report.ok, detail))
 
-    candidates = find_candidates(inst, schedule.points)
     bound = 2 * k * inst.m
     checks.append(
         (
@@ -205,7 +209,9 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
             break
     checks.append(("swap partners agree at every breakpoint", swap_ok, detail))
 
-    doubled = solve_naive(doubled_instance(inst))
+    with warnings.catch_warnings():  # the double is tied by construction
+        warnings.simplefilter("ignore", CoincidentEqualityPointsWarning)
+        doubled = solve_naive(doubled_instance(inst))
     doubled_ok = pwl_equal(doubled.value, schedule.value)
     doubled_detail = ""
     if not doubled_ok:

@@ -280,8 +280,8 @@ def read_dimacs(text: str, interval: ParamInterval, name: str = "") -> MatroidIn
 
     Accepts ``p edge <nodes> <edges>`` and 1-indexed ``e u v [a [b]]`` lines,
     where the optional trailing columns are exact rationals (default weight
-    ``1 + 0*lam``); ``c`` lines are comments.  The header's edge count must
-    equal the number of ``e`` lines.
+    ``1 + 0*lam``); ``c`` lines are comments.  There is one header, and its
+    edge count must equal the number of ``e`` lines.
     """
     nodes = header = declared = None
     edges: list[tuple[int, int]] = []
@@ -294,6 +294,8 @@ def read_dimacs(text: str, interval: ParamInterval, name: str = "") -> MatroidIn
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise InstanceFormatError(f"line {lineno}: expected 'p edge N M'")
+            if header is not None:
+                raise InstanceFormatError(f"line {lineno}: second 'p edge' header")
             nodes = _as_int(_dimacs_int(parts[2], lineno), f"line {lineno}", minimum=1)
             header, declared = lineno, _dimacs_int(parts[3], lineno)
         elif parts[0] == "e":

@@ -62,20 +62,20 @@ def removal_value_functions(
     same id-perturbed order, maintains the deleted optima of the basis
     members.  Every crossing e->f, lone or part of a coincident bundle, is
     handled as an isolated crossing of the perturbed instance: at most rank
-    swap tests run (one per maintained deleted basis containing e but not f),
-    and when the main basis swaps, e's deleted optimum becomes the plain one
-    and f's becomes the old basis.  Changes at one parameter value collapse
-    into the last one.  Elements outside the optimal basis share the
-    undeleted optimum, so their functions are the plain value function
-    itself.  Coloops are refused by the schedule; rank 0 is refused here.
+    swap tests run (one per maintained deleted basis containing e but not f,
+    on the full view), and when the main basis swaps (the schedule's swaps
+    come up in order, as each pair crosses once), e's deleted optimum becomes
+    the plain one and f's becomes the old basis.  Changes at one parameter
+    value collapse into the last one.  Elements outside the optimal basis
+    share the undeleted optimum, so their functions are the plain value
+    function itself.  The schedule refuses coloops; this refuses rank 0.
     """
     basis = schedule.bases[0]
     if not basis:
         raise ValueError(RANK_ZERO)
     view = inst.view()
     order = inst.order_at(start_representative(inst.interval, schedule.points))
-    deleted_views = {g: view.delete(g) for g in basis}
-    deleted_bases = {g: deleted_views[g].greedy_min_basis(order) for g in basis}
+    deleted_bases = {g: view.delete(g).greedy_min_basis(order) for g in basis}
 
     own_transitions: dict[int, list[tuple[Fraction | None, LinearFn | None]]] = {
         e: [(None, inst.basis_line(deleted_bases[e]) if e in basis else _FOLLOWS_MAIN)]
@@ -88,31 +88,24 @@ def removal_value_functions(
             transitions.pop()  # a zero-width span inside a bundle
         transitions.append((lam, line))
 
-    # Each pair crosses once, so (value, swap) identifies a main-basis swap.
-    old_basis_at = {
-        (cut, swap): old
-        for cut, swap, old in zip(schedule.cuts, schedule.swaps, schedule.bases)
-    }
+    main_swaps = zip(schedule.swaps, schedule.bases)
+    main_swap, old_basis = next(main_swaps, (None, None))
     for lam, group in group_by_lambda(schedule.points):
         for pt in perturbed_bundle_order(group, inst.scaled.b):
             e, f = pt.lighter_before, pt.lighter_after
             for g, basis_g in deleted_bases.items():
-                if g == f or e not in basis_g or f in basis_g:
-                    continue
-                candidate = [x for x in basis_g if x != e] + [f]
-                if deleted_views[g].is_independent(candidate):
-                    deleted_bases[g] = frozenset(candidate)
-                    record_own(g, lam, inst.basis_line(deleted_bases[g]))
-            old_basis = old_basis_at.get((lam, (e, f)))
-            if old_basis is not None:
+                swapped = view.swap(basis_g, e, f) if g != f else None
+                if swapped is not None:
+                    deleted_bases[g] = swapped
+                    record_own(g, lam, inst.basis_line(swapped))
+            if (e, f) == main_swap:
                 # e leaves: its deleted optimum now coincides with the plain
                 # optimum; f enters: its deleted optimum is the old basis.
                 del deleted_bases[e]
-                del deleted_views[e]
                 record_own(e, lam, _FOLLOWS_MAIN)
-                deleted_views[f] = view.delete(f)
                 deleted_bases[f] = old_basis
                 record_own(f, lam, inst.basis_line(old_basis))
+                main_swap, old_basis = next(main_swaps, (None, None))
 
     out: dict[int, PWLFunction] = {}
     for e in range(inst.m):
@@ -261,11 +254,7 @@ def find_candidates(
             coloops[e].add(f)
             by_singleton = False
         else:
-            merged = {
-                g
-                for g in coloops[e]
-                if view.is_independent([x for x in bases[e] if x != g] + [f])
-            }
+            merged = {g for g in coloops[e] if view.swap(bases[e], g, f)}
             coloops[e] -= merged
             by_singleton = bool(merged)
         if by_rank or by_singleton:

@@ -1,9 +1,9 @@
 """Matroid oracles with graphic, uniform and twinned backends.
 
 The backends answer independence queries; everything else (greedy optimum,
-fundamental circuits, components, replacement elements, coloops) is built on
-top of them through :class:`MatroidView`, which restricts the ground set and
-optionally records a single deleted element.
+basis exchanges, fundamental circuits, components, replacement elements,
+coloops) is built on top of them through :class:`MatroidView`, which restricts
+the ground set.  Every exchange test goes through :meth:`MatroidView.swap`.
 
 Views and bases are immutable and all queries are pure, so a view can be
 shared between threads.  Graphic independence is an acyclicity check with a
@@ -283,15 +283,10 @@ WeightAt = Callable[[int], Union[Fraction, int]]
 
 @dataclass(frozen=True)
 class MatroidView:
-    """A matroid restricted to an active subset, with one optional deletion.
-
-    ``deleted`` is metadata recording a minus-one-element construction; the
-    deleted element is excluded from ``active`` by construction.
-    """
+    """A matroid restricted to an active subset; tests on a given set ignore it."""
 
     backend: Backend
     active: frozenset[int]
-    deleted: int | None = None
 
     @staticmethod
     def full(backend: Backend) -> "MatroidView":
@@ -301,12 +296,12 @@ class MatroidView:
         sub = frozenset(subset)
         if not sub <= self.active:
             raise ValueError("restriction must stay inside the active set")
-        return MatroidView(self.backend, sub, self.deleted)
+        return MatroidView(self.backend, sub)
 
     def delete(self, e: int) -> "MatroidView":
         if e not in self.active:
             raise ValueError(f"e{e} is not active")
-        return MatroidView(self.backend, self.active - {e}, e)
+        return MatroidView(self.backend, self.active - {e})
 
     def ground(self) -> list[int]:
         return sorted(self.active)
@@ -321,6 +316,15 @@ class MatroidView:
             if not builder.add(e):
                 return False
         return True
+
+    def swap(self, basis: frozenset[int], e: int, f: int) -> frozenset[int] | None:
+        """``basis - e + f`` if ``e`` is in ``basis``, ``f`` is not, and the
+        exchange is independent, else None: one test, which ignores ``active``.
+        """
+        if e not in basis or f in basis:
+            return None
+        exchanged = basis - {e} | {f}
+        return exchanged if self.is_independent(exchanged) else None
 
     def greedy_min_basis(self, weight_at: WeightAt) -> frozenset[int]:
         """The unique minimum basis under the order (weight, element id).
@@ -341,17 +345,9 @@ class MatroidView:
         """The unique circuit inside ``basis + f`` for a non-basis element."""
         if f in basis:
             raise ValueError(f"e{f} already lies in the basis")
-        with_f = set(basis)
-        with_f.add(f)
-        if self.is_independent(with_f):
+        if self.is_independent(basis | {f}):
             raise ValueError(f"basis + e{f} is independent; no circuit exists")
-        circuit = {f}
-        for g in basis:
-            with_f.discard(g)
-            if self.is_independent(with_f):
-                circuit.add(g)
-            with_f.add(g)
-        return frozenset(circuit)
+        return frozenset([f, *(g for g in basis if self.swap(basis, g, f))])
 
     def components_via_circuits(self) -> ComponentPartition:
         """Generic component computation from one basis.
@@ -386,19 +382,15 @@ class MatroidView:
         """Cheapest element restoring a basis after deleting ``e``.
 
         Scans the non-basis elements in (weight, id) order with one
-        independence test each; None means ``e`` is in every basis.
+        :meth:`swap` each; None means ``e`` is in every basis.
         """
         if e not in basis:
             raise ValueError(f"e{e} is not in the basis")
-        rest = [x for x in basis if x != e]
         outside = sorted(
             (x for x in self.active if x not in basis),
             key=lambda x: (weight_at(x), x),
         )
-        for r in outside:
-            if self.is_independent(rest + [r]):
-                return r
-        return None
+        return next((r for r in outside if self.swap(basis, e, r)), None)
 
     def coloop_scan(self) -> frozenset[int]:
         """Elements whose deletion drops the rank (graphic: bridges)."""

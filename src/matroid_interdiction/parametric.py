@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import lcm
@@ -225,30 +225,22 @@ def perturbed_bundle_order(
 
     Shift every weight line down by a symbolic ``eps**(id+1)``; ties then
     resolve toward the smaller id, all crossings of a bundle separate, and
-    the crossing of ``e -> f`` moves by ``(eps**(e+1) - eps**(f+1)) /
-    (b_e - b_f)``.  Comparing those offsets exactly as ``eps -> 0+`` (smallest
-    exponent with a nonzero coefficient decides) yields the order in which
-    the perturbed sweep meets the crossings.  ``slopes`` may be any positive
-    multiple of the slopes, such as :attr:`MatroidInstance.scaled` ``.b``.
+    the crossing of ``e -> f`` moves by ``(eps**(e+1) - eps**(f+1)) / gap``,
+    ``gap = slopes[e] - slopes[f] > 0``.  As ``eps -> 0+`` the smaller id
+    decides the sign and leading term: ``-eps**(f+1) / gap`` if ``e > f``
+    (earlier for a smaller ``f``, then a smaller gap), ``+eps**(e+1) / gap``
+    if ``e < f`` (earlier for a larger ``e``, then a larger gap).  The larger
+    id's term breaks what remains.  Hence the key ``(0, f, gap, -e)`` or
+    ``(1, -e, -gap, f)``.  ``slopes`` may be any positive multiple of the
+    slopes, such as :attr:`MatroidInstance.scaled` ``.b``.
     """
 
-    def cmp(p1: EqualityPoint, p2: EqualityPoint) -> int:
-        # Both gaps are positive by the crossing orientation, so scaling the
-        # offset difference by gap1 * gap2 keeps every sign and clears the
-        # denominators.
-        gap1 = slopes[p1.lighter_before] - slopes[p1.lighter_after]
-        gap2 = slopes[p2.lighter_before] - slopes[p2.lighter_after]
-        terms = {p1.lighter_before: gap2, p1.lighter_after: -gap2}
-        for exponent, coeff in ((p2.lighter_before, gap1), (p2.lighter_after, -gap1)):
-            terms[exponent] = terms.get(exponent, 0) - coeff
-        for exponent in sorted(terms):
-            if terms[exponent] < 0:
-                return -1
-            if terms[exponent] > 0:
-                return 1
-        return 0
+    def key(pt: EqualityPoint) -> tuple[int, int, int, int]:
+        e, f = pt.lighter_before, pt.lighter_after
+        gap = slopes[e] - slopes[f]
+        return (0, f, gap, -e) if e > f else (1, -e, -gap, f)
 
-    return sorted(group, key=cmp_to_key(cmp))
+    return sorted(group, key=key)
 
 
 def advance_min_basis(
@@ -271,11 +263,10 @@ def advance_min_basis(
     records: list[SwapRecord] = []
     for pt in perturbed_bundle_order(group, slopes):
         e, f = pt.lighter_before, pt.lighter_after
-        if e in basis and f not in basis:
-            candidate = [x for x in basis if x != e] + [f]
-            if view.is_independent(candidate):
-                basis = frozenset(candidate)
-                records.append(SwapRecord(pt.lam, e, f, basis))
+        swapped = view.swap(basis, e, f)
+        if swapped is not None:
+            basis = swapped
+            records.append(SwapRecord(pt.lam, e, f, basis))
     if len(group) > 1:
         fresh = view.greedy_min_basis(order_at(right_rep))
         if fresh != basis:

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import matroid_interdiction
+import matroid_interdiction.interdiction as interdiction
 import matroid_interdiction.parametric as parametric
 from matroid_interdiction import solve_naive
 from matroid_interdiction.cli import _overfull_window, main
@@ -70,6 +71,34 @@ PENCIL = {
     "weights": [{"a": "0", "b": "1"}, {"a": "0", "b": "0"}, {"a": "0", "b": "-1"}],
     "interval": {"lo": "-1", "hi": "1"},
 }
+
+
+def count_artifact_builds(monkeypatch) -> Counter:
+    """Count every route to a sweep, a crossing enumeration or a candidate
+    filter, including the names other modules imported from their module."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    package = [
+        module for name, module in sys.modules.items()
+        if name.startswith("matroid_interdiction.")
+    ]
+    for home, name in (
+        (parametric, "parametric_min_basis"),
+        (parametric, "interior_crossings"),
+        (interdiction, "find_candidates"),
+    ):
+        original = getattr(home, name)
+        for module in package:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    return calls
 
 
 class TestSolve:
@@ -144,30 +173,13 @@ class TestSolve:
     def test_one_sweep_and_one_enumeration_per_request(
         self, instance_file, tmp_path, monkeypatch, algorithm
     ):
-        # Count every route to a sweep or a crossing enumeration, including
-        # the names other modules imported from the parametric module.
-        calls = Counter()
-
-        def counted(name, original):
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            return wrapper
-
-        package = [
-            module for name, module in sys.modules.items()
-            if name.startswith("matroid_interdiction.")
-        ]
-        for name in ("parametric_min_basis", "interior_crossings"):
-            original = getattr(parametric, name)
-            for module in package:
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted(name, original))
+        calls = count_artifact_builds(monkeypatch)
         out = tmp_path / "sol.json"
         src = instance_file(C4P)
         assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 0
-        assert calls == {"parametric_min_basis": 1, "interior_crossings": 1}
+        assert calls == {
+            "parametric_min_basis": 1, "interior_crossings": 1, "find_candidates": 1
+        }
 
     @pytest.mark.parametrize("algorithm", ["naive", "intervals", "oracle"])
     def test_rank_zero_exits_1(self, instance_file, tmp_path, capsys, algorithm):
@@ -216,12 +228,20 @@ class TestCheck:
         assert "error: rank-0 instance" in captured.err
         assert "PASS" not in captured.out
 
+    def test_check_builds_each_artifact_once(self, instance_file, monkeypatch):
+        calls = count_artifact_builds(monkeypatch)
+        assert main(["check", "--in", instance_file(C4P)]) == 0
+        # one sweep and one enumeration each for the input and its double
+        assert calls == {
+            "parametric_min_basis": 2, "interior_crossings": 2, "find_candidates": 1
+        }
+
     def test_failing_check_exits_3_with_counterexample(
         self, instance_file, capsys, monkeypatch
     ):
         import matroid_interdiction.cli as cli_module
 
-        def broken_intervals(inst):
+        def broken_intervals(inst, *_):
             sol = solve_naive(inst)
             shifted = [
                 type(seg)(
@@ -241,7 +261,7 @@ class TestCheck:
             return type(sol)(tuple(shifted), value)
 
         monkeypatch.setitem(cli_module._SOLVERS, "intervals", broken_intervals)
-        monkeypatch.setattr(cli_module, "solve_intervals", broken_intervals)
+        monkeypatch.setattr(cli_module, "window_solution", broken_intervals)
         assert main(["check", "--in", instance_file(C4P)]) == 3
         out = capsys.readouterr().out
         assert "FAIL" in out
@@ -434,6 +454,24 @@ class TestWarnings:
             code = main(["solve", "--in", instance_file(PENCIL), "--out", str(out)])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    @staticmethod
+    def check_warnings(src, capsys) -> list[str]:
+        # The suite ignores the tie warning; restore Python's default here.
+        with warnings.catch_warnings():
+            warnings.simplefilter(
+                "default", category=parametric.CoincidentEqualityPointsWarning
+            )
+            assert main(["check", "--in", src]) == 0
+        err = capsys.readouterr().err
+        return [line for line in err.splitlines() if line.startswith("warning:")]
+
+    def test_check_does_not_report_the_doubled_ties(self, instance_file, capsys):
+        # The doubled self-check is tied by construction; C4P itself is not.
+        assert self.check_warnings(instance_file(C4P), capsys) == []
+
+    def test_check_reports_the_input_ties_once(self, instance_file, capsys):
+        assert self.check_warnings(instance_file(PENCIL), capsys) == [self.TIE]
 
 
 class TestOverfullWindow:

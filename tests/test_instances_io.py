@@ -213,6 +213,13 @@ e 1 3 0 1
                 read_dimacs(text, ParamInterval.closed(0, 1))
             assert str(err.value).startswith(f"line {lineno}: ")
 
+    @pytest.mark.parametrize("nodes", [2, 4])
+    def test_second_header_is_refused(self, nodes):
+        text = f"p edge 3 2\ne 1 3\np edge {nodes} 2\ne 1 2\n"
+        with pytest.raises(InstanceFormatError) as err:
+            read_dimacs(text, ParamInterval.closed(0, 1))
+        assert str(err.value) == "line 3: second 'p edge' header"
+
     @pytest.mark.parametrize("declared", [1, 3])
     def test_edge_count_must_match_the_header(self, declared):
         text = f"c two parallel edges\np edge 2 {declared}\ne 1 2\ne 1 2\n"

@@ -8,7 +8,9 @@ exactly, the integer order kernel must agree with ``Fraction`` arithmetic,
 the incremental candidate filter and the integer line envelope must agree
 with plain recomputations, and every ``check`` self-check must pass.  The
 integer continuity check and crossing order are also run on coefficients up
-to 2**80 with values 2**-70 apart, against ``Fraction`` arithmetic.
+to 2**80 with values 2**-70 apart, against ``Fraction`` arithmetic.  The
+bundle order is checked against the exact perturbed crossing positions, and
+every exchange answer against a plain independence test.
 Examples are derandomized so every run checks the same instances.
 """
 
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from matroid_interdiction import (
+    EqualityPoint,
     GraphicMatroid,
     LinearFn,
     MatroidInstance,
@@ -400,3 +403,60 @@ def labeled_functions(draw) -> PWLFunction:
 @given(labeled_functions())
 def test_drop_labels_is_the_checked_build_without_labels(fn):
     assert fn.drop_labels() == PWLFunction.build(fn.domain, fn.cuts, fn.pieces)
+
+
+@st.composite
+def bundles(draw) -> tuple[list[EqualityPoint], list[int]]:
+    """Crossings at one value among ids below 16, slopes in +-2**7.
+
+    A few small slopes make equal gaps and shared ids common."""
+    slope = st.one_of(st.integers(-(2**7), 2**7), st.integers(-2, 2))
+    slopes = draw(st.lists(slope, min_size=16, max_size=16))
+    ids = draw(st.lists(st.integers(0, 15), min_size=2, max_size=7, unique=True))
+    pairs = [(i, j) for i, j in combinations(ids, 2) if slopes[i] != slopes[j]]
+    pairs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # the steeper line is the lighter one before the crossing
+    group = [
+        EqualityPoint(i, j, Fraction(0)) if slopes[i] > slopes[j]
+        else EqualityPoint(j, i, Fraction(0))
+        for i, j in pairs
+    ]
+    return group, slopes
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(bundles())
+def test_bundle_order_is_the_perturbed_crossing_order(case):
+    group, slopes = case
+    eps = Fraction(1, 2**64)
+
+    def position(pt):
+        e, f = pt.lighter_before, pt.lighter_after
+        return (eps ** (e + 1) - eps ** (f + 1)) / (slopes[e] - slopes[f])
+
+    assert perturbed_bundle_order(group, slopes) == sorted(group, key=position)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instances(coloops_ok=True), st.data())
+def test_swap_is_one_independence_test(inst, data):
+    view = inst.view()
+    rank_of = data.draw(st.permutations(range(inst.m)))
+    # A basis of the full view, or of a deleted view as in the removal sweep.
+    deleted = data.draw(st.one_of(st.none(), st.integers(0, inst.m - 1)))
+    source = view if deleted is None else view.delete(deleted)
+    basis = source.greedy_min_basis(rank_of.__getitem__)
+    for e, f in product(range(inst.m), repeat=2):
+        exchanged = basis - {e} | {f}
+        expected = (
+            exchanged
+            if e in basis and f not in basis and view.is_independent(exchanged)
+            else None
+        )
+        assert view.swap(basis, e, f) == expected
