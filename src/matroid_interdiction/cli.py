@@ -8,9 +8,9 @@ Verbs:
 * ``double``     -- emit the parallel-twin double of an instance
 * ``candidates`` -- list the candidate crossings with their case tags
 
-Exit codes: 0 success, 1 input or usage error, 2 assumption violation (coloops
-present), 3 a check failed.  Output files are byte-identical across runs on
-the same input; there is no timestamping and no parallelism.
+Exit codes: 0 success, 1 input, output or usage error, 2 assumption violation
+(coloops present), 3 a check failed.  Output files are byte-identical across
+runs on the same input; there is no timestamping and no parallelism.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from fractions import Fraction
 
 from .instances import (
     InstanceFormatError,
-    dump_instance,
     dump_solution,
     load_instance,
     read_dimacs,
+    read_text,
+    save_instance,
 )
 from .interdiction import (
     doubled_graphic_instance,
@@ -66,8 +67,7 @@ def _load(args) -> MatroidInstance:
     if fmt == "dimacs":
         lo, _, hi = getattr(args, "interval", "-10:10").partition(":")
         window = ParamInterval(extended(lo.strip()), extended(hi.strip()))
-        with open(path, "r", encoding="utf-8") as handle:
-            inst = read_dimacs(handle.read(), window, name=path.rsplit("/", 1)[-1])
+        inst = read_dimacs(read_text(path), window, name=path.rsplit("/", 1)[-1])
     else:
         inst = load_instance(path)
     backend = inst.backend
@@ -278,9 +278,7 @@ def cmd_double(args) -> int:
         doubled = doubled_graphic_instance(inst)
     else:
         doubled = doubled_instance(inst)
-    with open(args.outfile, "w", encoding="utf-8") as handle:
-        json.dump(dump_instance(doubled), handle, indent=2)
-        handle.write("\n")
+    save_instance(doubled, args.outfile)
     print(f"wrote {args.outfile}: {doubled.m} element(s)")
     return EXIT_OK
 
@@ -364,7 +362,7 @@ def main(argv=None) -> int:
     except ColoopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLOOPS
-    except (InstanceFormatError, ValueError) as exc:
+    except (InstanceFormatError, ValueError, OSError) as exc:  # OSError: an output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -176,12 +176,18 @@ def dump_instance(inst: MatroidInstance) -> dict:
     raise TypeError(f"cannot serialize backend {type(backend).__name__}")
 
 
-def load_instance(path: str) -> MatroidInstance:
+def read_text(path: str) -> str:
+    """The text of a UTF-8 input file; failing to read it names the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise InstanceFormatError(f"{path}: {exc}") from None
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _fail(path, str(exc)) from None
+
+
+def load_instance(path: str) -> MatroidInstance:
+    try:
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

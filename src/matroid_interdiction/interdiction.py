@@ -4,12 +4,13 @@ Two exact routes to the optimal interdiction value function, each an
 assembler over artifacts that are built once per instance and passed down:
 
 * :func:`naive_solution` envelopes the :func:`removal_value_functions`, which
-  walk the plain schedule's crossings once more, maintaining the optimum with
-  each basis member deleted (every other deleted optimum is the plain one).
+  replay the plain schedule's walk over the crossings, maintaining the
+  optimum with each basis member deleted (every other deleted optimum is the
+  plain one).
 * :func:`window_solution` solves each window between the crossings that
   :func:`find_candidates` keeps (rank growth or singleton-component
-  absorption in growing restrictions) from the basis and its replacement
-  elements, and stitches the windows together.
+  absorption in growing restrictions) from the basis, found by one greedy
+  run, and its replacement elements, and stitches the windows together.
 
 :func:`solve_naive` and :func:`solve_intervals` compose them from an instance.
 Both refuse instances with coloops: interdicting such an element makes the
@@ -23,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from .matroid import DoubledMatroid, GraphicMatroid
@@ -30,12 +32,9 @@ from .parametric import (
     RANK_ZERO,
     BasisSchedule,
     MatroidInstance,
-    advance_min_basis,
     all_equality_points,
     checked_view,
-    group_by_lambda,
     parametric_min_basis,
-    perturbed_bundle_order,
     start_representative,
 )
 from .pwl import (
@@ -58,8 +57,8 @@ def removal_value_functions(
     """For every element, the optimum of the instance with it removed.
 
     The main basis comes from ``schedule``, the instance's
-    :func:`parametric_min_basis`.  One more walk over its crossings, in the
-    same id-perturbed order, maintains the deleted optima of the basis
+    :func:`parametric_min_basis`.  Replaying its ``walk`` over the crossings,
+    in the same id-perturbed order, maintains the deleted optima of the basis
     members.  Every crossing e->f, lone or part of a coincident bundle, is
     handled as an isolated crossing of the perturbed instance: at most rank
     swap tests run (one per maintained deleted basis containing e but not f,
@@ -90,22 +89,21 @@ def removal_value_functions(
 
     main_swaps = zip(schedule.swaps, schedule.bases)
     main_swap, old_basis = next(main_swaps, (None, None))
-    for lam, group in group_by_lambda(schedule.points):
-        for pt in perturbed_bundle_order(group, inst.scaled.b):
-            e, f = pt.lighter_before, pt.lighter_after
-            for g, basis_g in deleted_bases.items():
-                swapped = view.swap(basis_g, e, f) if g != f else None
-                if swapped is not None:
-                    deleted_bases[g] = swapped
-                    record_own(g, lam, inst.basis_line(swapped))
-            if (e, f) == main_swap:
-                # e leaves: its deleted optimum now coincides with the plain
-                # optimum; f enters: its deleted optimum is the old basis.
-                del deleted_bases[e]
-                record_own(e, lam, _FOLLOWS_MAIN)
-                deleted_bases[f] = old_basis
-                record_own(f, lam, inst.basis_line(old_basis))
-                main_swap, old_basis = next(main_swaps, (None, None))
+    for pt in schedule.walk:
+        e, f, lam = pt.lighter_before, pt.lighter_after, pt.lam
+        for g, basis_g in deleted_bases.items():
+            swapped = view.swap(basis_g, e, f) if g != f else None
+            if swapped is not None:
+                deleted_bases[g] = swapped
+                record_own(g, lam, inst.basis_line(swapped))
+        if (e, f) == main_swap:
+            # e leaves: its deleted optimum now coincides with the plain
+            # optimum; f enters: its deleted optimum is the old basis.
+            del deleted_bases[e]
+            record_own(e, lam, _FOLLOWS_MAIN)
+            deleted_bases[f] = old_basis
+            record_own(f, lam, inst.basis_line(old_basis))
+            main_swap, old_basis = next(main_swaps, (None, None))
 
     out: dict[int, PWLFunction] = {}
     for e in range(inst.m):
@@ -182,19 +180,13 @@ class CandidateEntry:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Sound superset of all slope changes, and the sorted crossings it filtered."""
+    """Sound superset of all slope changes: the kept crossings, sorted."""
 
     entries: tuple[CandidateEntry, ...]
-    crossings: tuple[EqualityPoint, ...]
 
     def lambdas(self) -> list[Fraction]:
         """The distinct candidate values, in order (the entries are sorted)."""
-        out: list[Fraction] = []
-        for entry in self.entries:
-            lam = entry.point.lam
-            if not out or out[-1] != lam:
-                out.append(lam)
-        return out
+        return [lam for lam, _ in groupby(entry.point.lam for entry in self.entries)]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -259,7 +251,7 @@ def find_candidates(
             by_singleton = bool(merged)
         if by_rank or by_singleton:
             entries.append(CandidateEntry(pt, by_rank, by_singleton))
-    return CandidateSet(tuple(entries), tuple(crossings))
+    return CandidateSet(tuple(entries))
 
 
 def solve_intervals(inst: MatroidInstance) -> Solution:
@@ -270,32 +262,20 @@ def solve_intervals(inst: MatroidInstance) -> Solution:
 def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution:
     """Solve each window between candidate crossings, then stitch.
 
-    Inside a window the optimal basis is fixed, so each basis member's
-    removal optimum is one line: basis minus member plus its replacement
-    element.  Every other element's removal optimum is the plain basis line.
-    The window's interdicted optimum is the upper envelope of those lines.
+    Inside a window the optimal basis is fixed (every basis change is a slope
+    change, hence a candidate), so one greedy run at the window's
+    representative finds it and each basis member's removal optimum is one
+    line: basis minus member plus its replacement element.  Every other
+    element's removal optimum is the plain basis line.  The window's
+    interdicted optimum is the upper envelope of those lines.
     """
     view = checked_view(inst)
-    lambdas = candidates.lambdas()
-    # Advance across a candidate value with every crossing that shares it:
-    # under heavy ties the pair that actually swaps the basis need not be the
-    # flagged candidate from the same bundle.
-    points_at = dict(group_by_lambda(candidates.crossings))
-
-    bounds = [inst.interval.lo] + [extended(l) for l in lambdas] + [inst.interval.hi]
-    windows = [
-        ParamInterval(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)
-    ]
-
-    basis = view.greedy_min_basis(inst.order_at(windows[0].representative()))
+    bounds = [inst.interval.lo, *map(extended, candidates.lambdas()), inst.interval.hi]
     parts = []
-    for i, window in enumerate(windows):
+    for lo, hi in zip(bounds, bounds[1:]):
+        window = ParamInterval(lo, hi)
         rep = window.representative()
-        if i > 0:
-            group = points_at[lambdas[i - 1]]
-            basis, _ = advance_min_basis(
-                view, basis, group, rep, inst.order_at, inst.scaled.b
-            )
+        basis = view.greedy_min_basis(inst.order_at(rep))
         weight_at = inst.weights_at(rep)
         plain = inst.basis_line(basis)
         lines = []

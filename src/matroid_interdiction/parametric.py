@@ -9,8 +9,9 @@ Coincident crossings (several pairs meeting at the same parameter value, a
 "bundle") take the same path as lone ones: the bundle is walked point by
 point in the order of an instance perturbed so that ties resolve by element
 id, which makes every step an isolated crossing of the perturbed instance.
-The removal sweep in :mod:`.interdiction` is handed this schedule and walks
-its crossings in the same order instead of tracking the main basis itself.
+This sweep is the only code that puts bundles in that order; it records the
+crossings as walked in :attr:`BasisSchedule.walk`, which the removal sweep in
+:mod:`.interdiction` replays instead of tracking the main basis itself.
 After each bundle the basis is checked once against a fresh greedy run, so a
 degenerate bundle can never silently corrupt the schedule.
 
@@ -249,19 +250,19 @@ def advance_min_basis(
     group: Sequence[EqualityPoint],
     right_rep: Fraction | None,
     order_at: Callable[[Fraction], Callable[[int], int]],
-    slopes: Sequence[int],
 ) -> tuple[frozenset[int], list[SwapRecord]]:
     """Advance the minimum basis across one crossing value.
 
-    A lone crossing needs a single independence test.  A coincident bundle is
-    processed point by point in the id-perturbation order, which makes every
-    step an ordinary isolated crossing of the perturbed instance; the result
-    is then verified against a fresh greedy run at ``right_rep``, a point
+    ``group`` holds every crossing at that value, in the order they are
+    walked: a coincident bundle must come in :func:`perturbed_bundle_order`,
+    which makes every step an ordinary isolated crossing of the perturbed
+    instance.  A lone crossing needs a single independence test.  A bundle's
+    result is verified against a fresh greedy run at ``right_rep``, a point
     just right of the bundle, as a hard internal invariant.  Lone crossings
     never read ``right_rep``, so callers may pass None for them.
     """
     records: list[SwapRecord] = []
-    for pt in perturbed_bundle_order(group, slopes):
+    for pt in group:
         e, f = pt.lighter_before, pt.lighter_after
         swapped = view.swap(basis, e, f)
         if swapped is not None:
@@ -284,7 +285,9 @@ class BasisSchedule:
     ``cuts[i]`` carries ``swaps[i]`` and switches from ``bases[i]`` to
     ``bases[i+1]``.  Coincident crossings can repeat a cut value; the value
     function skips the resulting zero-width pieces.  ``points`` are the
-    sorted crossings the sweep walked (see :func:`interior_crossings`).
+    sorted crossings (see :func:`interior_crossings`); ``walk`` holds the same
+    crossings in the order the sweep walked them, each bundle in
+    :func:`perturbed_bundle_order`.
     """
 
     cuts: tuple[Fraction, ...]
@@ -292,6 +295,7 @@ class BasisSchedule:
     swaps: tuple[tuple[int, int], ...]
     value: PWLFunction
     points: tuple[EqualityPoint, ...]
+    walk: tuple[EqualityPoint, ...]
 
 
 def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
@@ -316,14 +320,15 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     cuts: list[Fraction] = []
     bases: list[frozenset[int]] = [basis]
     swaps: list[tuple[int, int]] = []
+    walk: list[EqualityPoint] = []
     for idx, (lam, group) in enumerate(groups):
         right_rep = None  # read only to verify a bundle
         if len(group) > 1:
             right_end = extended(groups[idx + 1][0]) if idx + 1 < len(groups) else interval.hi
             right_rep = interior_point(extended(lam), right_end)
-        basis, records = advance_min_basis(
-            view, basis, group, right_rep, inst.order_at, inst.scaled.b
-        )
+        group = perturbed_bundle_order(group, inst.scaled.b)
+        walk += group
+        basis, records = advance_min_basis(view, basis, group, right_rep, inst.order_at)
         for rec in records:
             cuts.append(rec.lam)
             bases.append(rec.basis)
@@ -333,7 +338,7 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     slopes = [p.b for p in value.pieces]
     if any(nxt >= prev for prev, nxt in zip(slopes, slopes[1:])):
         raise AssertionError("optimal value function is not concave")
-    return BasisSchedule(tuple(cuts), tuple(bases), tuple(swaps), value, tuple(points))
+    return BasisSchedule(tuple(cuts), tuple(bases), tuple(swaps), value, tuple(points), tuple(walk))
 
 
 def _schedule_value(

@@ -73,9 +73,25 @@ PENCIL = {
 }
 
 
+# Three lines through (0, 0) and one constant line: a bundle of three
+# crossings at 0 and lone crossings at -1 and 1, three distinct values.
+TIED = {
+    "type": "uniform",
+    "name": "tied",
+    "m": 4,
+    "k": 2,
+    "weights": [
+        {"a": "0", "b": "1"}, {"a": "0", "b": "0"},
+        {"a": "0", "b": "-1"}, {"a": "1", "b": "0"},
+    ],
+    "interval": {"lo": "-2", "hi": "2"},
+}
+
+
 def count_artifact_builds(monkeypatch) -> Counter:
-    """Count every route to a sweep, a crossing enumeration or a candidate
-    filter, including the names other modules imported from their module."""
+    """Count every route to a sweep, a crossing enumeration, a candidate
+    filter, a grouping of crossings by value and a bundle ordering, including
+    the names other modules imported from their module."""
     calls = Counter()
 
     def counted(name, original):
@@ -92,6 +108,8 @@ def count_artifact_builds(monkeypatch) -> Counter:
     for home, name in (
         (parametric, "parametric_min_basis"),
         (parametric, "interior_crossings"),
+        (parametric, "group_by_lambda"),
+        (parametric, "perturbed_bundle_order"),
         (interdiction, "find_candidates"),
     ):
         original = getattr(home, name)
@@ -177,9 +195,24 @@ class TestSolve:
         out = tmp_path / "sol.json"
         src = instance_file(C4P)
         assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 0
+        # C4P crosses at three distinct values, each a lone crossing.
         assert calls == {
-            "parametric_min_basis": 1, "interior_crossings": 1, "find_candidates": 1
+            "parametric_min_basis": 1, "interior_crossings": 1, "find_candidates": 1,
+            "group_by_lambda": 2, "perturbed_bundle_order": 3,
         }
+
+    @pytest.mark.parametrize("algorithm", ["naive", "intervals"])
+    def test_tied_solve_groups_twice_and_orders_each_value_once(
+        self, instance_file, tmp_path, monkeypatch, algorithm
+    ):
+        calls = count_artifact_builds(monkeypatch)
+        out = tmp_path / "sol.json"
+        src = instance_file(TIED)
+        assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 0
+        # the tie warning's count and the main sweep; the removal sweep and
+        # the window solver reuse the sweep's walk or need none
+        assert calls["group_by_lambda"] == 2
+        assert calls["perturbed_bundle_order"] == 3  # at -1, 0 and 1
 
     @pytest.mark.parametrize("algorithm", ["naive", "intervals", "oracle"])
     def test_rank_zero_exits_1(self, instance_file, tmp_path, capsys, algorithm):
@@ -231,9 +264,11 @@ class TestCheck:
     def test_check_builds_each_artifact_once(self, instance_file, monkeypatch):
         calls = count_artifact_builds(monkeypatch)
         assert main(["check", "--in", instance_file(C4P)]) == 0
-        # one sweep and one enumeration each for the input and its double
+        # one sweep and one enumeration each for the input and its double,
+        # which both cross at the same three values
         assert calls == {
-            "parametric_min_basis": 2, "interior_crossings": 2, "find_candidates": 1
+            "parametric_min_basis": 2, "interior_crossings": 2, "find_candidates": 1,
+            "group_by_lambda": 4, "perturbed_bundle_order": 6,
         }
 
     def test_failing_check_exits_3_with_counterexample(
@@ -422,6 +457,36 @@ class TestDimacsInput:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestFileErrors:
+    """An unreadable input or unwritable output is one error line naming it."""
+
+    @staticmethod
+    def assert_one_error_naming(path, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    @pytest.mark.parametrize("name", ["missing.dimacs", "missing.json"])
+    def test_missing_input(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--in", str(path), "--out", str(out)]) == 1
+        self.assert_one_error_naming(path, capsys)
+
+    @pytest.mark.parametrize("name", ["bad.dimacs", "bad.json"])
+    def test_input_that_is_not_utf8(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe p edge 2 1\n")
+        assert main(["check", "--in", str(path)]) == 1
+        self.assert_one_error_naming(path, capsys)
+
+    @pytest.mark.parametrize("verb", ["solve", "plot", "double"])
+    def test_output_in_a_missing_directory(self, instance_file, tmp_path, capsys, verb):
+        out = tmp_path / "missing" / "out.txt"
+        assert main([verb, "--in", instance_file(C4P), "--out", str(out)]) == 1
+        self.assert_one_error_naming(out, capsys)
 
 
 class TestWarnings:

@@ -9,8 +9,9 @@ the incremental candidate filter and the integer line envelope must agree
 with plain recomputations, and every ``check`` self-check must pass.  The
 integer continuity check and crossing order are also run on coefficients up
 to 2**80 with values 2**-70 apart, against ``Fraction`` arithmetic.  The
-bundle order is checked against the exact perturbed crossing positions, and
-every exchange answer against a plain independence test.
+bundle order is checked against the exact perturbed crossing positions, the
+schedule's recorded walk against that order, and every exchange answer
+against a plain independence test.
 Examples are derandomized so every run checks the same instances.
 """
 
@@ -33,6 +34,7 @@ from matroid_interdiction import (
     envelope_of_lines,
     equality_point,
     find_candidates,
+    parametric_min_basis,
     solve_bruteforce,
     solve_intervals,
     solve_naive,
@@ -179,6 +181,23 @@ def test_integer_kernel_matches_fraction_arithmetic(inst, lams, data):
 
 @settings(
     derandomize=True,
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instances())
+def test_schedule_walk_puts_each_bundle_in_perturbed_order(inst):
+    schedule = parametric_min_basis(inst)
+    assert schedule.walk == tuple(
+        pt
+        for _, group in group_by_lambda(schedule.points)
+        for pt in perturbed_bundle_order(group, inst.scaled.b)
+    )
+
+
+@settings(
+    derandomize=True,
     max_examples=60,
     deadline=None,
     database=None,
@@ -235,7 +254,6 @@ def test_incremental_candidate_filter_matches_recomputed_components(inst):
     crossings = interior_crossings(inst)
     found = find_candidates(inst, crossings)
     assert list(found.entries) == recomputed_candidates(inst, crossings)
-    assert found.crossings == tuple(crossings)
 
 
 # Denominators 2, 3 and 5 make the envelope's common scale 30.
