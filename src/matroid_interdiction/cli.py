@@ -16,7 +16,10 @@ runs on the same input; there is no timestamping and no parallelism.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -119,9 +122,9 @@ def cmd_solve(args) -> int:
     inst = _load(args)
     schedule, candidates, sol = _solve(args.algorithm, inst)
     payload = dump_solution(inst, sol, _stats(inst, schedule, candidates, sol))
+    text = json.dumps(payload, indent=2) + "\n"
     with open(args.outfile, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
     print(f"wrote {args.outfile}: {len(sol.segments)} segment(s)")
     return EXIT_OK
 
@@ -297,7 +300,9 @@ def cmd_candidates(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use and reused after."""
     parser = argparse.ArgumentParser(
         prog="matroid-interdiction",
         description="Exact parametric one-interdiction solver",
@@ -346,12 +351,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outfile(path: str) -> None:
+    """Fail as ``open(path, "w")`` would, but before any work and creating nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
+        if hasattr(args, "outfile"):
+            _check_outfile(args.outfile)
         # Recorded, not shown: Python's format would print a source path.
         with warnings.catch_warnings(record=True) as caught:
             try:

@@ -145,7 +145,9 @@ def interior_crossings(inst: MatroidInstance) -> list[EqualityPoint]:
     cross-multiplication and sorted by ``((num << 64) // den, e, f)``.  That
     key is floor(value * 2**64), which never decreases as the value grows, so
     the order is exact unless one key holds two different values; only then
-    are the crossings sorted again by the exact ``Fraction`` key.
+    are the crossings sorted again by the exact ``Fraction`` key.  Equal
+    values are then adjacent, and all crossings at one value share one
+    ``Fraction`` object, built when ``n1*d2 != n2*d1`` says the value changed.
     """
     _, a, b = inst.scaled
     # (p, q) of each finite end of the interval; q = 0 marks an infinite end.
@@ -165,12 +167,17 @@ def interior_crossings(inst: MatroidInstance) -> list[EqualityPoint]:
             continue
         found.append(((num << 64) // den, e, f, num, den))
     found.sort()
-    points = [EqualityPoint(e, f, Fraction(num, den)) for _, e, f, num, den in found]
     if any(
         k1 == k2 and n1 * d2 != n2 * d1
         for (k1, _, _, n1, d1), (k2, _, _, n2, d2) in zip(found, found[1:])
     ):
-        points.sort(key=lambda p: (p.lam, p.lighter_before, p.lighter_after))
+        found.sort(key=lambda t: (Fraction(t[3], t[4]), t[1], t[2]))
+    points = []
+    lam = n0 = d0 = None
+    for _, e, f, num, den in found:
+        if lam is None or num * d0 != n0 * den:
+            lam, n0, d0 = Fraction(num, den), num, den
+        points.append(EqualityPoint(e, f, lam))
     return points
 
 
@@ -195,9 +202,10 @@ def all_equality_points(inst: MatroidInstance) -> list[EqualityPoint]:
 def group_by_lambda(
     points: Sequence[EqualityPoint],
 ) -> list[tuple[Fraction, list[EqualityPoint]]]:
-    return [
-        (lam, list(group)) for lam, group in groupby(points, key=lambda p: p.lam)
-    ]
+    """Sorted crossings grouped by value, compared as integer ``(numerator,
+    denominator)`` pairs: exact, since a ``Fraction`` is always normalized."""
+    groups = groupby(points, key=lambda p: (p.lam.numerator, p.lam.denominator))
+    return [(group[0].lam, group) for group in (list(g) for _, g in groups)]
 
 
 def start_representative(

@@ -15,7 +15,7 @@ import matroid_interdiction
 import matroid_interdiction.interdiction as interdiction
 import matroid_interdiction.parametric as parametric
 from matroid_interdiction import solve_naive
-from matroid_interdiction.cli import _overfull_window, main
+from matroid_interdiction.cli import _overfull_window, build_parser, main
 
 
 P2 = {
@@ -482,11 +482,28 @@ class TestFileErrors:
         assert main(["check", "--in", str(path)]) == 1
         self.assert_one_error_naming(path, capsys)
 
+    # Both fail before the instance is read, so nothing is solved or created.
     @pytest.mark.parametrize("verb", ["solve", "plot", "double"])
-    def test_output_in_a_missing_directory(self, instance_file, tmp_path, capsys, verb):
+    def test_output_in_a_missing_directory(
+        self, instance_file, tmp_path, capsys, monkeypatch, verb
+    ):
+        src = instance_file(C4P)
         out = tmp_path / "missing" / "out.txt"
-        assert main([verb, "--in", instance_file(C4P), "--out", str(out)]) == 1
+        calls = count_artifact_builds(monkeypatch)
+        assert main([verb, "--in", src, "--out", str(out)]) == 1
         self.assert_one_error_naming(out, capsys)
+        assert calls["parametric_min_basis"] == 0
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("verb", ["solve", "plot", "double"])
+    def test_output_that_is_a_directory(
+        self, instance_file, tmp_path, capsys, monkeypatch, verb
+    ):
+        src = instance_file(C4P)
+        calls = count_artifact_builds(monkeypatch)
+        assert main([verb, "--in", src, "--out", str(tmp_path)]) == 1
+        self.assert_one_error_naming(tmp_path, capsys)
+        assert calls["parametric_min_basis"] == 0
 
 
 class TestWarnings:
@@ -537,6 +554,69 @@ class TestWarnings:
 
     def test_check_reports_the_input_ties_once(self, instance_file, capsys):
         assert self.check_warnings(instance_file(PENCIL), capsys) == [self.TIE]
+
+    def test_each_solve_in_one_process_reports_the_ties_once(
+        self, instance_file, tmp_path, capsys
+    ):
+        src, out = instance_file(PENCIL), str(tmp_path / "sol.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter(
+                "default", category=parametric.CoincidentEqualityPointsWarning
+            )
+            for _ in range(3):
+                assert main(["solve", "--in", src, "--out", out]) == 0
+                assert capsys.readouterr().err.splitlines() == [self.TIE]
+
+
+class TestOneParserPerProcess:
+    """The parser is built once per process; no call leaks into the next."""
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(
+        self, instance_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        src = instance_file(C4P)
+        dimacs = tmp_path / "tri.dimacs"
+        dimacs.write_text("p edge 3 3\ne 1 2 1 0\ne 2 3 2 0\ne 1 3 0 1\n")
+        plot, sol = tmp_path / "plot.csv", tmp_path / "sol.json"
+        calls = [
+            (["plot", "--in", src, "--samples", "3", "--out", str(plot)], plot),
+            (["plot", "--in", src, "--out", str(plot)], plot),
+            (["solve", "--in", str(dimacs), "--interval", "-5:5", "--out", str(sol)], sol),
+            (["--help"], None),
+            (["solve", "--in", src, "--out", str(sol)], sol),
+        ]
+
+        def outcome(code, stdout, stderr, path):
+            written = None
+            if path is not None and path.exists():
+                written = path.read_text()
+                path.unlink()
+            last = [text.splitlines()[-1] if text else "" for text in (stdout, stderr)]
+            return code, *last, written
+
+        in_process = []
+        for argv, path in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append(outcome(code, captured.out, captured.err, path))
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(matroid_interdiction.__file__).parents[1])
+        )
+        fresh = []
+        for argv, path in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "matroid_interdiction", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            fresh.append(outcome(proc.returncode, proc.stdout, proc.stderr, path))
+        assert in_process == fresh
+        assert [code for code, *_ in in_process] == [0, 0, 1, 0, 0]
+        # 3 and then 16 samples, plus the cut at 1/2: --samples did not carry over
+        assert [written.count("\n") - 1 for *_, written in in_process[:2]] == [5, 18]
 
 
 class TestOverfullWindow:

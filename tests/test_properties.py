@@ -7,8 +7,9 @@ bounded, half-bounded and unbounded intervals.  The three solvers must agree
 exactly, the integer order kernel must agree with ``Fraction`` arithmetic,
 the incremental candidate filter and the integer line envelope must agree
 with plain recomputations, and every ``check`` self-check must pass.  The
-integer continuity check and crossing order are also run on coefficients up
-to 2**80 with values 2**-70 apart, against ``Fraction`` arithmetic.  The
+integer continuity check, crossing order and crossing grouping are also run
+on coefficients up to 2**80 with values 2**-70 apart, against ``Fraction``
+arithmetic, and the crossings at one value must share one ``Fraction``.  The
 bundle order is checked against the exact perturbed crossing positions, the
 schedule's recorded walk against that order, and every exchange answer
 against a plain independence test.
@@ -16,7 +17,7 @@ Examples are derandomized so every run checks the same instances.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -400,6 +401,30 @@ def test_integer_crossing_order_is_the_exact_order(inst):
     ]
     expected = sorted(points, key=lambda p: (p.lam, p.lighter_before, p.lighter_after))
     assert interior_crossings(inst) == expected
+
+
+@settings(
+    derandomize=True,
+    max_examples=400,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(instances(), close_crossings()))
+def test_crossings_share_one_fraction_per_value_and_group_by_value(inst):
+    points = interior_crossings(inst)
+    for p, q in zip(points, points[1:]):
+        assert (p.lam is q.lam) == (p.lam == q.lam)
+    # Unshared copies check the grouping on any sorted input, not just shared ones.
+    unshared = [
+        EqualityPoint(
+            p.lighter_before, p.lighter_after, Fraction(p.lam.numerator, p.lam.denominator)
+        )
+        for p in points
+    ]
+    for pts in (points, unshared):
+        expected = [(lam, list(group)) for lam, group in groupby(pts, key=lambda p: p.lam)]
+        assert group_by_lambda(pts) == expected
 
 
 @st.composite
