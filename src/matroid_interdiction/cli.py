@@ -80,10 +80,16 @@ def _load(args) -> MatroidInstance:
     return inst
 
 
-def _solve(algorithm: str, inst: MatroidInstance):
-    """The plain schedule, the candidates and the solution built from them, once."""
+def _solve(algorithm: str, inst: MatroidInstance, *, stats: bool = True):
+    """The plain schedule, the candidates and the solution built from them, once.
+
+    Without ``stats`` the candidates are built only for the window solver,
+    and are None otherwise.
+    """
     schedule = parametric_min_basis(inst)
-    candidates = find_candidates(inst, schedule.points)
+    candidates = None
+    if stats or algorithm == "intervals":
+        candidates = find_candidates(inst, schedule.points)
     return schedule, candidates, _SOLVERS[algorithm](inst, schedule, candidates)
 
 
@@ -256,7 +262,7 @@ def cmd_plot(args) -> int:
     if not inst.interval.is_bounded:
         print("error: plotting needs a bounded interval", file=sys.stderr)
         return EXIT_INPUT
-    schedule, _, solution = _solve(args.algorithm, inst)
+    schedule, _, solution = _solve(args.algorithm, inst, stats=False)
     lo, hi = inst.interval.lo.value, inst.interval.hi.value
     samples = [lo + Fraction(i * (hi - lo), args.samples) for i in range(args.samples + 1)]
     rows = sorted(list(solution.value.cuts) + samples)

@@ -329,6 +329,33 @@ class TestPlot:
         assert [r[0] for r in rows] == ["-1", "1", "1", "3"]
         assert [r[1] for r in rows] == ["1", "1", "1", "3"]
 
+    @pytest.mark.parametrize(
+        "algorithm, candidate_builds", [("naive", 0), ("intervals", 1), ("oracle", 0)]
+    )
+    def test_builds_candidates_only_for_the_window_solver(
+        self, instance_file, tmp_path, monkeypatch, algorithm, candidate_builds
+    ):
+        calls = count_artifact_builds(monkeypatch)
+        out = tmp_path / "plot.csv"
+        assert main([
+            "plot", "--in", instance_file(TIED), "--algorithm", algorithm,
+            "--samples", "4", "--out", str(out),
+        ]) == 0
+        assert calls["find_candidates"] == candidate_builds
+        assert calls["parametric_min_basis"] == 1
+        # the bytes written when every plot still built the candidates
+        assert out.read_bytes() == (
+            b"lambda,y,w,most_vital,y_decimal\n"
+            b"-2,1,-2,e0,1.000000000000\n"
+            b"-1,1,-1,e0,1.000000000000\n"
+            b"-1,1,-1,e0,1.000000000000\n"
+            b"0,0,0,e0,0.000000000000\n"
+            b"0,0,0,e0,0.000000000000\n"
+            b"1,1,-1,e2,1.000000000000\n"
+            b"1,1,-1,e2,1.000000000000\n"
+            b"2,1,-2,e2,1.000000000000\n"
+        )
+
     def test_unbounded_interval_exits_1(self, instance_file, tmp_path, capsys):
         data = json.loads(json.dumps(P2))
         data["interval"] = {"lo": "-inf", "hi": "3"}

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from matroid_interdiction import solve_intervals, solve_naive
 from matroid_interdiction.matroid import (
     DoubledMatroid,
     GraphicMatroid,
@@ -223,6 +224,30 @@ class TestReplacementElement:
                     assert len(deleted_opt) < len(basis)
                 else:
                     assert deleted_opt == basis - {e} | {replacement}
+
+
+class TestExchangeTestCount:
+    """Every exchange that passes ``swap``'s membership guard is one call of
+    ``MatroidView.is_independent``, the call that profilers and the benchmark
+    tracer count as the paper's cost unit."""
+
+    @pytest.mark.parametrize("solve", [solve_naive, solve_intervals])
+    def test_each_guarded_swap_is_one_counted_test(self, monkeypatch, solve):
+        counts = {"tests": 0, "guarded_swaps": 0}
+        is_independent, swap = MatroidView.is_independent, MatroidView.swap
+
+        def counted_test(view, subset):
+            counts["tests"] += 1
+            return is_independent(view, subset)
+
+        def counted_swap(view, basis, e, f):
+            counts["guarded_swaps"] += e in basis and f not in basis
+            return swap(view, basis, e, f)
+
+        monkeypatch.setattr(MatroidView, "is_independent", counted_test)
+        monkeypatch.setattr(MatroidView, "swap", counted_swap)
+        solve(random_graphic(random.Random(5), n_range=(5, 5), m_max=10))
+        assert counts["tests"] == counts["guarded_swaps"] > 0
 
 
 class TestColoopScan:

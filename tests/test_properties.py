@@ -12,7 +12,9 @@ on coefficients up to 2**80 with values 2**-70 apart, against ``Fraction``
 arithmetic, and the crossings at one value must share one ``Fraction``.  The
 bundle order is checked against the exact perturbed crossing positions, the
 schedule's recorded walk against that order, and every exchange answer
-against a plain independence test.
+against a plain independence test.  Each backend's one-loop independence
+kernel is checked against its incremental builder, and every replacement
+scan against the cheapest exchange by (key, id) under both key kinds.
 Examples are derandomized so every run checks the same instances.
 """
 
@@ -42,6 +44,7 @@ from matroid_interdiction import (
 )
 from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.interdiction import CandidateEntry
+from matroid_interdiction.matroid import DoubledMatroid
 from matroid_interdiction.pwl import PWLError
 from matroid_interdiction.parametric import (
     group_by_lambda,
@@ -503,3 +506,73 @@ def test_swap_is_one_independence_test(inst, data):
             else None
         )
         assert view.swap(basis, e, f) == expected
+
+
+@st.composite
+def multigraphs(draw) -> GraphicMatroid:
+    """Random edges on a few nodes: self-loops, parallel edges and isolated
+    nodes are all common."""
+    n = draw(st.integers(1, 5))
+    node = st.integers(0, n - 1)
+    return GraphicMatroid(n, tuple(draw(st.lists(st.tuples(node, node), max_size=8))))
+
+
+@st.composite
+def any_uniform(draw) -> UniformMatroid:
+    """k = 0, 0 < k < m and k >= m."""
+    m = draw(st.integers(0, 6))
+    return UniformMatroid(m, draw(st.integers(0, m + 2)))
+
+
+KERNEL_BACKENDS = st.one_of(
+    multigraphs(),
+    any_uniform(),
+    st.builds(DoubledMatroid, st.one_of(multigraphs(), any_uniform())),
+)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(KERNEL_BACKENDS, st.data())
+def test_independence_kernel_matches_the_builder(backend, data):
+    subset = data.draw(
+        st.lists(st.integers(0, backend.size - 1), unique=True)
+        if backend.size
+        else st.just([])
+    )
+    if isinstance(backend, DoubledMatroid) and subset and data.draw(st.booleans()):
+        twin = backend.twin(subset[0])  # both twins of one pair
+        if twin not in subset:
+            subset.insert(data.draw(st.integers(0, len(subset))), twin)
+    builder = backend.builder()
+    expected = all(builder.add(e) for e in subset)
+    assert backend.independent(subset) == expected
+    assert backend.independent(frozenset(subset)) == expected
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    instances(coloops_ok=True),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.data(),
+)
+def test_replacement_element_is_the_cheapest_exchange(inst, lam, data):
+    view = inst.view()
+    rank_of = data.draw(st.permutations(range(inst.m)))
+    basis = view.greedy_min_basis(rank_of.__getitem__)
+    for key in (inst.weights_at(lam), inst.order_at(lam)):
+        for e in basis:
+            expected = min(
+                (
+                    (key(r), r)
+                    for r in set(range(inst.m)) - basis
+                    if view.is_independent(basis - {e} | {r})
+                ),
+                default=(None, None),
+            )[1]
+            assert view.replacement_element(basis, e, key) == expected
