@@ -6,7 +6,9 @@ assembler over artifacts that are built once per instance and passed down:
 * :func:`naive_solution` envelopes the :func:`removal_value_functions`, which
   replay the plain schedule's walk over the crossings, maintaining the
   optimum with each basis member deleted (every other deleted optimum is the
-  plain one).
+  plain one).  A deleted basis is offered an exchange only if it holds the
+  crossing's lighter-before element and not the other, and its line is kept
+  as integer sums over the scaled weights until it becomes a piece.
 * :func:`window_solution` solves each window between the crossings that
   :func:`find_candidates` keeps (rank growth or singleton-component
   absorption in growing restrictions) from the basis, found by one greedy
@@ -49,6 +51,7 @@ from .rationals import ParamInterval, extended
 from .solution import Solution, build_solution
 
 _FOLLOWS_MAIN = None  # sentinel line meaning "this element tracks the optimum"
+_Sums = tuple[int, int]  # a basis's integer line sums over ``MatroidInstance.scaled``
 
 
 def removal_value_functions(
@@ -65,23 +68,33 @@ def removal_value_functions(
     on the full view), and when the main basis swaps (the schedule's swaps
     come up in order, as each pair crosses once), e's deleted optimum becomes
     the plain one and f's becomes the old basis.  Changes at one parameter
-    value collapse into the last one.  Elements outside the optimal basis
-    share the undeleted optimum, so their functions are the plain value
-    function itself.  The schedule refuses coloops; this refuses rank 0.
+    value collapse into the last one.  Each basis's line is kept as integer
+    sums over :attr:`MatroidInstance.scaled`, moved by one difference per
+    swap, and becomes a :class:`LinearFn` once per piece of the result.
+    Elements outside the optimal basis share the undeleted optimum, so their
+    functions are the plain value function itself.  The schedule refuses
+    coloops; this refuses rank 0.
     """
     basis = schedule.bases[0]
     if not basis:
         raise ValueError(RANK_ZERO)
     view = inst.view()
+    scale, a, b = inst.scaled
     order = inst.order_at(start_representative(inst.interval, schedule.points))
     deleted_bases = {g: view.delete(g).greedy_min_basis(order) for g in basis}
 
-    own_transitions: dict[int, list[tuple[Fraction | None, LinearFn | None]]] = {
-        e: [(None, inst.basis_line(deleted_bases[e]) if e in basis else _FOLLOWS_MAIN)]
-        for e in range(inst.m)
+    def sums_of(bs: frozenset[int]) -> _Sums:
+        # a basis's line is (A + lam*B) / scale for its integer sums (A, B)
+        return sum(a[x] for x in bs), sum(b[x] for x in bs)
+
+    sums = {g: sums_of(bg) for g, bg in deleted_bases.items()}
+    main_sums = sums_of(basis)
+
+    own_transitions: dict[int, list[tuple[Fraction | None, _Sums | None]]] = {
+        e: [(None, sums[e] if e in basis else _FOLLOWS_MAIN)] for e in range(inst.m)
     }
 
-    def record_own(e: int, lam: Fraction, line: LinearFn | None):
+    def record_own(e: int, lam: Fraction, line: _Sums | None):
         transitions = own_transitions[e]
         if transitions[-1][0] == lam:
             transitions.pop()  # a zero-width span inside a bundle
@@ -92,17 +105,22 @@ def removal_value_functions(
     for pt in schedule.walk:
         e, f, lam = pt.lighter_before, pt.lighter_after, pt.lam
         for g, basis_g in deleted_bases.items():
-            swapped = view.swap(basis_g, e, f) if g != f else None
-            if swapped is not None:
-                deleted_bases[g] = swapped
-                record_own(g, lam, inst.basis_line(swapped))
+            if e in basis_g and f not in basis_g and g != f:
+                swapped = view.swap(basis_g, e, f)
+                if swapped is not None:
+                    deleted_bases[g] = swapped
+                    sa, sb = sums[g]
+                    sums[g] = line = (sa + a[f] - a[e], sb + b[f] - b[e])
+                    record_own(g, lam, line)
         if (e, f) == main_swap:
             # e leaves: its deleted optimum now coincides with the plain
             # optimum; f enters: its deleted optimum is the old basis.
-            del deleted_bases[e]
+            del deleted_bases[e], sums[e]
             record_own(e, lam, _FOLLOWS_MAIN)
-            deleted_bases[f] = old_basis
-            record_own(f, lam, inst.basis_line(old_basis))
+            deleted_bases[f], sums[f] = old_basis, main_sums
+            record_own(f, lam, main_sums)
+            sa, sb = main_sums
+            main_sums = (sa + a[f] - a[e], sb + b[f] - b[e])
             main_swap, old_basis = next(main_swaps, (None, None))
 
     out: dict[int, PWLFunction] = {}
@@ -111,13 +129,14 @@ def removal_value_functions(
         if all(line is _FOLLOWS_MAIN for _, line in transitions):
             out[e] = schedule.value
         else:
-            out[e] = _assemble(transitions, schedule.value)
+            out[e] = _assemble(transitions, schedule.value, scale)
     return out
 
 
 def _assemble(
-    transitions: Sequence[tuple[Fraction | None, LinearFn | None]],
+    transitions: Sequence[tuple[Fraction | None, _Sums | None]],
     main: PWLFunction,
+    scale: int,
 ) -> PWLFunction:
     """Splice explicit line spans with spans that track the main optimum."""
     cuts: list[Fraction] = []
@@ -126,7 +145,7 @@ def _assemble(
         if start is not None:
             cuts.append(start)
         if line is not _FOLLOWS_MAIN:
-            pieces.append(line)
+            pieces.append(LinearFn(Fraction(line[0], scale), Fraction(line[1], scale)))
             continue
         end = transitions[i + 1][0] if i + 1 < len(transitions) else None
         first = 0 if start is None else bisect_right(main.cuts, start)

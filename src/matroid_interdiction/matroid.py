@@ -6,9 +6,10 @@ coloops) is built on top of them through :class:`MatroidView`, which restricts
 the ground set.  Every exchange test goes through :meth:`MatroidView.swap`.
 
 Each backend answers a one-shot query with its ``independent`` kernel, one
-loop over the set; its ``builder`` is the incremental rank structure that
-greedy runs and the candidate filter grow one element at a time, and the
-reference the kernels are tested against.
+loop over the set, and takes a greedy basis of an ordered sequence with its
+``greedy`` kernel, one loop as well; its ``builder`` is the incremental rank
+structure that the rank, the coloop scan and the candidate filter grow one
+element at a time, and the reference both kernels are tested against.
 
 Views and bases are immutable and all queries are pure, so a view can be
 shared between threads.  Graphic independence is an acyclicity check: one loop
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Collection, Iterable, Union
 
 
@@ -102,6 +104,24 @@ class GraphicMatroid:
             parent[v] = u
         return True
 
+    def greedy(self, ordered: Iterable[int]) -> frozenset[int]:
+        """The edges of ``ordered`` that close no cycle with those taken
+        before them (a loop closes one alone), in one loop like
+        :meth:`independent`."""
+        parent = list(range(self.node_count))
+        edges = self.edges
+        taken = []
+        for e in ordered:
+            u, v = edges[e]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
+                taken.append(e)
+        return frozenset(taken)
+
 
 class _GraphicBuilder:
     __slots__ = ("edges", "dsu")
@@ -137,6 +157,10 @@ class UniformMatroid:
 
     def independent(self, subset: Collection[int]) -> bool:
         return len(subset) <= self.k
+
+    def greedy(self, ordered: Iterable[int]) -> frozenset[int]:
+        """The first ``k`` elements of ``ordered``."""
+        return frozenset(islice(ordered, self.k))
 
 
 class _UniformBuilder:
@@ -182,6 +206,18 @@ class DoubledMatroid:
         n = self.inner.size
         projected = {e - n if e >= n else e for e in subset}
         return len(projected) == len(subset) and self.inner.independent(projected)
+
+    def greedy(self, ordered: Iterable[int]) -> frozenset[int]:
+        """Skip each element whose twin came first, then ask the inner kernel.
+
+        A twin that comes second is dependent either way: its first twin was
+        taken, or was dependent on a subset of what the inner pass takes.
+        """
+        n = self.inner.size
+        first: dict[int, int] = {}  # projection -> its first element, in order
+        for e in ordered:
+            first.setdefault(e - n if e >= n else e, e)
+        return frozenset(first[p] for p in self.inner.greedy(first))
 
 
 class _DoubledBuilder:
@@ -359,12 +395,11 @@ class MatroidView:
         """The unique minimum basis under the order (weight, element id).
 
         The id tie-break makes the minimum basis unique even with repeated
-        weights, so every solver in the package sees the same optimum.
+        weights, so every solver in the package sees the same optimum.  The
+        stable sort of the id-sorted elements by bare key gives that order,
+        and the backend's ``greedy`` kernel takes the basis in one loop.
         """
-        order = sorted(self.active, key=lambda e: (weight_at(e), e))
-        builder = self.backend.builder()
-        basis = [e for e in order if builder.add(e)]
-        return frozenset(basis)
+        return self.backend.greedy(sorted(sorted(self.active), key=weight_at))
 
     def rank(self) -> int:
         builder = self.backend.builder()

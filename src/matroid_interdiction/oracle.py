@@ -15,10 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .matroid import MatroidView, WeightAt
 from .parametric import MatroidInstance, checked_view
 from .pwl import envelope_of_lines, equality_point, pwl_equal, PWLFunction
 from .rationals import ParamInterval, extended
 from .solution import Solution, build_solution
+
+
+def _reference_min_basis(view: MatroidView, weight_at: WeightAt) -> frozenset[int]:
+    """The (weight, id)-minimum basis, grown by the backend's incremental
+    builder rather than the greedy kernel the solvers use."""
+    builder = view.backend.builder()
+    order = sorted(view.active, key=lambda e: (weight_at(e), e))
+    return frozenset(e for e in order if builder.add(e))
 
 
 def interdict_at(inst: MatroidInstance, lam: Fraction) -> tuple[Fraction, int]:
@@ -34,7 +43,7 @@ def interdict_at(inst: MatroidInstance, lam: Fraction) -> tuple[Fraction, int]:
     best_value: Fraction | None = None
     best_element = -1
     for e in range(inst.m):
-        basis = view.delete(e).greedy_min_basis(weight_at)
+        basis = _reference_min_basis(view.delete(e), weight_at)
         value = sum(weight_at(x) for x in basis)
         if best_value is None or value > best_value:
             best_value = value
@@ -73,7 +82,7 @@ def solve_bruteforce(inst: MatroidInstance) -> Solution:
         weight_at = inst.weights_at(rep)
         lines = []
         for e in range(inst.m):
-            basis = view.delete(e).greedy_min_basis(weight_at)
+            basis = _reference_min_basis(view.delete(e), weight_at)
             lines.append((e, inst.basis_line(basis)))
         local = envelope_of_lines(lines, window)
         for j, piece in enumerate(local.pieces):

@@ -3,10 +3,12 @@
 A weight is a line ``a + lam*b``; a value function is a continuous piecewise
 linear function stored as interior cut positions plus one line per piece, so
 unbounded domains need no special vertices.  Upper envelopes are exact and
-built one way: a line envelope (:func:`envelope_of_lines`) per window on
-which every input is a single line, joined by :func:`stitch`.  Ties in value
-are broken by the smallest element id so the winning labels are reproducible
-across solvers and platforms.
+built one way: an integer hull pass over the lines of a window on which every
+input is a single line.  :func:`envelope_of_lines` is one such pass, which
+the window solver joins with :func:`stitch`; :func:`envelope_of_pwl` runs one
+pass per window between its inputs' cuts and builds the result once.  Ties in
+value are broken by the smallest element id so the winning labels are
+reproducible across solvers and platforms.
 
 Normalization: a cut is kept only if the line, or the piece label, changes
 across it.  Label-only cuts (same line, different winner) can occur when two
@@ -14,8 +16,8 @@ elements tie along a whole piece; value-level comparisons always ignore them
 (see :func:`pwl_equal`).
 
 Validation: every cut is checked once, where it enters a function.
-:meth:`PWLFunction.build` checks its cuts in integers (continuity by
-cross-multiplication, no line evaluated in ``Fraction``); :func:`stitch`
+:meth:`PWLFunction.build` checks its cuts in integers (order and continuity
+by cross-multiplication, no line evaluated in ``Fraction``); :func:`stitch`
 checks only the seams between parts that were built already; and
 :meth:`PWLFunction.drop_labels` only normalizes.
 """
@@ -26,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .rationals import (
     ExtendedRational,
@@ -128,7 +130,7 @@ def _merged(
     for i, cut in enumerate(cuts):
         piece = pieces[i + 1]
         label = labels[i + 1] if labels is not None else None
-        same_line = piece == out_pieces[-1]
+        same_line = piece is out_pieces[-1] or piece == out_pieces[-1]
         same_label = out_labels is None or label == out_labels[-1]
         if same_line and same_label:
             continue
@@ -171,7 +173,8 @@ class PWLFunction:
         Raises :class:`PWLError` on a count mismatch, unsorted or non-interior
         cuts, or a discontinuity.  Each cut is checked once: strictly
         increasing cuts are all interior once the outermost two are, and
-        continuity is an integer identity (see :func:`_check_meet`).  Merges
+        order and continuity are integer identities (cross-multiplied
+        numerators and denominators, see :func:`_check_meet`).  Merges
         every cut across which neither the line nor the label changes.
         """
         if not domain.is_proper:
@@ -187,8 +190,10 @@ class PWLFunction:
             outside = next(cut for cut in cuts if not inside(cut))
             raise PWLError(f"cut {outside} not interior to {domain}")
         for i, cut in enumerate(cuts):
-            if i > 0 and not cuts[i - 1] < cut:
+            p, q = cut.numerator, cut.denominator
+            if i > 0 and not prev_p * q < p * prev_q:
                 raise PWLError(f"cuts not strictly increasing at {cut}")
+            prev_p, prev_q = p, q
             _check_meet(pieces[i], pieces[i + 1], cut)
         return _merged(domain, cuts, pieces, labels)
 
@@ -241,30 +246,26 @@ def pwl_equal(f: PWLFunction, g: PWLFunction) -> bool:
     return fn.cuts == gn.cuts and fn.pieces == gn.pieces
 
 
-def envelope_of_lines(
-    lines: Sequence[tuple[int, LinearFn]], window: ParamInterval
-) -> PWLFunction:
-    """Pointwise maximum of labeled lines, restricted to ``window``.
+def _upper_hull(
+    lines: Iterable[tuple[int, int, int, LinearFn]],
+    lo: Fraction | None,
+    hi: Fraction | None,
+    cuts: list[Fraction],
+    pieces: list[LinearFn],
+    labels: list[int],
+):
+    """Append the labeled upper envelope of lines on ``[lo, hi]`` to
+    ``cuts``, ``pieces`` and ``labels``; None marks an unbounded end.
 
-    Value ties are resolved toward the smallest label.  The result is
-    normalized; the classic slope-ordered hull construction keeps the total
-    work at O(n log n).  The hull runs on the lines scaled to integers over
-    their common denominator: slopes are int keys, crossings are compared by
-    cross-multiplication, and only the cuts inside ``window`` become
-    ``Fraction`` values.
+    Each line comes as ``(a, b, label, line)``: its intercept and slope as
+    integers over a scale shared by all of them.  Slopes are int keys,
+    crossings are compared by cross-multiplication, and only the crossings
+    strictly inside the window become ``Fraction`` cuts.
     """
-    if not lines:
-        raise ValueError("need at least one line")
-    if not window.is_proper:
-        raise ValueError(f"degenerate window {window}")
-
-    scale = lcm(*(d for _, ln in lines for d in (ln.a.denominator, ln.b.denominator)))
     # For equal slopes only the highest intercept can ever win; among fully
     # identical lines the smallest label represents the tie.
     best_per_slope: dict[int, tuple[int, int, LinearFn]] = {}
-    for label, line in lines:
-        a = line.a.numerator * (scale // line.a.denominator)
-        b = line.b.numerator * (scale // line.b.denominator)
+    for a, b, label, line in lines:
         incumbent = best_per_slope.get(b)
         if (
             incumbent is None
@@ -289,19 +290,50 @@ def envelope_of_lines(
         hull.append((a, b, label, line))
 
     first, last = 0, len(crossings)
-    if window.lo.is_finite:
-        p, q = window.lo.value.numerator, window.lo.value.denominator
+    if lo is not None:
+        p, q = lo.numerator, lo.denominator
         first = sum(1 for num, den in crossings if num * q <= p * den)
-    if window.hi.is_finite:
-        p, q = window.hi.value.numerator, window.hi.value.denominator
+    if hi is not None:
+        p, q = hi.numerator, hi.denominator
         last = sum(1 for num, den in crossings if num * q < p * den)
-    segment = hull[first : last + 1]
-    return PWLFunction.build(
-        window,
-        [Fraction(num, den) for num, den in crossings[first:last]],
-        [line for _, _, _, line in segment],
-        [label for _, _, label, _ in segment],
-    )
+    cuts.extend(Fraction(num, den) for num, den in crossings[first:last])
+    for _, _, label, line in hull[first : last + 1]:
+        pieces.append(line)
+        labels.append(label)
+
+
+def _common_scale(lines: Iterable[LinearFn]) -> int:
+    return lcm(*{d for line in lines for d in (line.a.denominator, line.b.denominator)})
+
+
+def _scaled(line: LinearFn, scale: int) -> tuple[int, int]:
+    a, b = line.a, line.b
+    return a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
+
+
+def envelope_of_lines(
+    lines: Sequence[tuple[int, LinearFn]], window: ParamInterval
+) -> PWLFunction:
+    """Pointwise maximum of labeled lines, restricted to ``window``.
+
+    Value ties are resolved toward the smallest label.  The result is
+    normalized; the classic slope-ordered hull construction keeps the total
+    work at O(n log n).  The hull runs on the lines scaled to integers over
+    their common denominator (see :func:`_upper_hull`).
+    """
+    if not lines:
+        raise ValueError("need at least one line")
+    if not window.is_proper:
+        raise ValueError(f"degenerate window {window}")
+    scale = _common_scale(line for _, line in lines)
+    lo = window.lo.value if window.lo.is_finite else None
+    hi = window.hi.value if window.hi.is_finite else None
+    cuts: list[Fraction] = []
+    pieces: list[LinearFn] = []
+    labels: list[int] = []
+    scaled = [(*_scaled(line, scale), label, line) for label, line in lines]
+    _upper_hull(scaled, lo, hi, cuts, pieces, labels)
+    return PWLFunction.build(window, cuts, pieces, labels)
 
 
 def envelope_of_pwl(
@@ -311,12 +343,14 @@ def envelope_of_pwl(
 
     Every input must be defined on all of ``window``.  The inputs' cuts
     strictly inside ``window`` split it into sub-windows on which every input
-    is a single line; each sub-window takes one :func:`envelope_of_lines` over
-    the pieces of all inputs there, and :func:`stitch` joins the results.  The
-    cost is one line envelope over all ``t`` inputs per sub-window.  Each
-    input keeps a pointer to its current piece, which moves once per cut of
-    that input, so no piece is searched for.  Each open piece is labeled with
-    the smallest label among its maximizers.
+    is a single line; each sub-window takes one integer hull pass
+    (:func:`_upper_hull`) over the pieces of all inputs there.  The pieces
+    are scaled to integers once, over one common denominator, and each input
+    steps to its next scaled piece at each of its own cuts, so no piece is
+    searched for.  The hull crossings and the sub-window seams go to one
+    :meth:`PWLFunction.build`, which checks every cut and merges each seam
+    across which neither the line nor the label changes.  Each open piece is
+    labeled with the smallest label among its maximizers.
     """
     if not fs:
         raise ValueError("need at least one function")
@@ -325,36 +359,42 @@ def envelope_of_pwl(
     for _, fn in fs:
         if not (fn.domain.lo <= window.lo and window.hi <= fn.domain.hi):
             raise ValueError(f"window {window} not inside domain {fn.domain}")
-    # owners[c]: the inputs with a cut at c; pos[j]: input j's current piece.
+    lo = window.lo.value if window.lo.is_finite else None
+    hi = window.hi.value if window.hi.is_finite else None
+    # spans[j]: input j's pieces on the window; owners[c]: the inputs with a cut at c.
+    spans: list[tuple[int, Sequence[LinearFn]]] = []
     owners: dict[Fraction, list[int]] = {}
-    pos: list[int] = []
-    current: list[tuple[int, LinearFn]] = []
     for j, (label, fn) in enumerate(fs):
-        start = bisect_right(fn.cuts, window.lo.value) if window.lo.is_finite else 0
-        stop = bisect_left(fn.cuts, window.hi.value) if window.hi.is_finite else len(fn.cuts)
+        start = 0 if lo is None else bisect_right(fn.cuts, lo)
+        stop = len(fn.cuts) if hi is None else bisect_left(fn.cuts, hi)
         for cut in fn.cuts[start:stop]:
             owners.setdefault(cut, []).append(j)
-        pos.append(start)
-        current.append((label, fn.pieces[start]))
-    parts = []
-    lo = window.lo
+        spans.append((label, fn.pieces[start : stop + 1]))
+    scale = _common_scale(line for _, span in spans for line in span)
+    # steps[j] yields input j's pieces, scaled; current[j] is the one in force.
+    steps = [
+        iter([(*_scaled(line, scale), label, line) for line in span])
+        for label, span in spans
+    ]
+    current = [next(step) for step in steps]
+    cuts: list[Fraction] = []
+    pieces: list[LinearFn] = []
+    labels: list[int] = []
     for cut in sorted(owners):
-        hi = extended(cut)
-        parts.append(envelope_of_lines(current, ParamInterval(lo, hi)))
+        _upper_hull(current, lo, cut, cuts, pieces, labels)
+        cuts.append(cut)
         for j in owners[cut]:
-            label, fn = fs[j]
-            pos[j] += 1
-            current[j] = (label, fn.pieces[pos[j]])
-        lo = hi
-    parts.append(envelope_of_lines(current, ParamInterval(lo, window.hi)))
-    return stitch(window, parts)
+            current[j] = next(steps[j])
+        lo = cut
+    _upper_hull(current, lo, hi, cuts, pieces, labels)
+    return PWLFunction.build(window, cuts, pieces, labels)
 
 
 def stitch(domain: ParamInterval, parts: Sequence[PWLFunction]) -> PWLFunction:
     """Join labeled functions whose domains tile ``domain``, left to right.
 
     Every part is a built function, so its own cuts were checked when it was
-    built (by :func:`envelope_of_lines`, for the solvers).  Only what joining
+    built (by :func:`envelope_of_lines`, for the window solver).  Only what joining
     adds is checked here: that the parts tile ``domain`` and that the lines
     meet at every seam.  The start of every part after the first becomes a
     cut unless neither the line nor the label changes across it.  The oracle

@@ -532,6 +532,22 @@ class TestFileErrors:
         self.assert_one_error_naming(tmp_path, capsys)
         assert calls["parametric_min_basis"] == 0
 
+    @pytest.mark.parametrize("verb", ["solve", "plot", "double"])
+    def test_empty_output_path(
+        self, instance_file, tmp_path, capsys, monkeypatch, verb
+    ):
+        src = instance_file(C4P)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        calls = count_artifact_builds(monkeypatch)
+        assert main([verb, "--in", src, "--out", ""]) == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: ''\n"
+        )
+        assert calls["parametric_min_basis"] == 0
+        assert not any(cwd.iterdir())
+
 
 class TestWarnings:
     TIE = (

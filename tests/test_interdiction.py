@@ -91,6 +91,35 @@ class TestRemovalValueFunctions:
                     basis = view.delete(e).greedy_min_basis(weight_at)
                     assert ys[e].value_at(lam) == sum(weight_at(x) for x in basis)
 
+    def test_matches_builder_optimum_at_cuts_on_tied_instances(self):
+        # Coefficients up to 2 make coincident crossings the rule, so the
+        # running line sums cross main swaps inside bundles.
+        rng = random.Random(73)
+        bundled = 0
+        for i in range(40):
+            interval = ("-inf", "inf") if i % 4 == 0 else (-3, 3)
+            if rng.random() < 0.7:
+                inst = random_graphic(rng, m_max=10, coeff=2, interval=interval)
+            else:
+                inst = random_uniform(rng, m_max=8, coeff=2, interval=interval)
+            if i % 5 == 0:
+                inst = doubled_instance(inst)
+            points = all_equality_points(inst)
+            bundled += len(points) > len({pt.lam for pt in points})
+            ys = removal_value_functions(inst, parametric_min_basis(inst))
+            view = inst.view()
+            for e, fn in ys.items():
+                deleted = view.delete(e)
+                probes = [*fn.cuts, *(ParamInterval(lo, hi).representative()
+                                      for lo, hi, _, _ in fn.piece_windows())]
+                for lam in probes:
+                    weight_at = inst.weights_at(lam)
+                    builder = inst.backend.builder()
+                    order = sorted(deleted.active, key=lambda x: (weight_at(x), x))
+                    basis = [x for x in order if builder.add(x)]
+                    assert fn.value_at(lam) == sum(weight_at(x) for x in basis)
+        assert bundled >= 20
+
 
 class TestSolveNaive:
     def test_p2_segments(self, p2):

@@ -13,8 +13,10 @@ arithmetic, and the crossings at one value must share one ``Fraction``.  The
 bundle order is checked against the exact perturbed crossing positions, the
 schedule's recorded walk against that order, and every exchange answer
 against a plain independence test.  Each backend's one-loop independence
-kernel is checked against its incremental builder, and every replacement
-scan against the cheapest exchange by (key, id) under both key kinds.
+and greedy kernels are checked against its incremental builder, every
+replacement scan against the cheapest exchange by (key, id) under both key
+kinds, and the single-pass envelope of piecewise-linear functions against
+line envelopes per window joined by ``stitch``.
 Examples are derandomized so every run checks the same instances.
 """
 
@@ -30,11 +32,13 @@ from matroid_interdiction import (
     GraphicMatroid,
     LinearFn,
     MatroidInstance,
+    MatroidView,
     ParamInterval,
     PWLFunction,
     UniformMatroid,
     doubled_instance,
     envelope_of_lines,
+    envelope_of_pwl,
     equality_point,
     find_candidates,
     parametric_min_basis,
@@ -45,13 +49,14 @@ from matroid_interdiction import (
 from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.interdiction import CandidateEntry
 from matroid_interdiction.matroid import DoubledMatroid
-from matroid_interdiction.pwl import PWLError
+from matroid_interdiction.pwl import PWLError, stitch
 from matroid_interdiction.parametric import (
     group_by_lambda,
     interior_crossings,
     perturbed_bundle_order,
     start_representative,
 )
+from matroid_interdiction.rationals import extended
 
 INTEGER_COEFF = st.sampled_from(range(-2, 3))
 # Mixed denominators make the common scale of the integer kernel 6, not 1.
@@ -576,3 +581,95 @@ def test_replacement_element_is_the_cheapest_exchange(inst, lam, data):
                 default=(None, None),
             )[1]
             assert view.replacement_element(basis, e, key) == expected
+
+
+KEYS = {
+    "int": st.integers(-1, 1),
+    # 1/2 and 2/4 are one value: ties between Fractions, not only ints.
+    "fraction": st.sampled_from([Fraction(-1, 3), Fraction(1, 2), Fraction(2, 4), Fraction(3, 2)]),
+}
+
+
+def builder_greedy(backend, order) -> frozenset[int]:
+    builder = backend.builder()
+    return frozenset(e for e in order if builder.add(e))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(KERNEL_BACKENDS, st.sampled_from(sorted(KEYS)), st.data())
+def test_greedy_kernel_matches_the_builder(backend, kind, data):
+    m = backend.size
+    active = set(data.draw(st.sets(st.integers(0, m - 1)) if m else st.just(set())))
+    keys = data.draw(st.lists(KEYS[kind], min_size=m, max_size=m))
+    if isinstance(backend, DoubledMatroid) and active:
+        e = min(active)
+        active.add(backend.twin(e))  # both twins of a pair, often tied
+        if data.draw(st.booleans()):
+            keys[backend.twin(e)] = keys[e]
+    view = MatroidView(backend, frozenset(active))
+    expected = builder_greedy(backend, sorted(active, key=lambda e: (keys[e], e)))
+    assert view.greedy_min_basis(keys.__getitem__) == expected
+    # Any order, not only a sorted one.
+    order = data.draw(st.permutations(sorted(active)))
+    assert backend.greedy(order) == builder_greedy(backend, order)
+
+
+def envelope_by_windows(
+    fs: list[tuple[int, PWLFunction]], window: ParamInterval
+) -> PWLFunction:
+    """The envelope by its definition: one line envelope on every window
+    between the inputs' cuts, joined by ``stitch``."""
+    inner = sorted({c for _, fn in fs for c in fn.cuts if window.strictly_inside(c)})
+    bounds = [window.lo, *map(extended, inner), window.hi]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        sub = ParamInterval(lo, hi)
+        rep = sub.representative()
+        lines = [(label, fn.pieces[fn.piece_index(rep)]) for label, fn in fs]
+        parts.append(envelope_of_lines(lines, sub))
+    return stitch(window, parts)
+
+
+@st.composite
+def envelope_inputs(draw) -> tuple[list[tuple[int, PWLFunction]], ParamInterval]:
+    """Functions over the whole line built from a small shared pool of lines,
+    as upper or lower envelopes of some of them, so shared pieces, coincident
+    cuts and identical inputs are common, and a window whose finite ends may
+    fall on input cuts."""
+    everywhere = ParamInterval.closed("-inf", "inf")
+    coeff = st.one_of(INTEGER_COEFF, FRACTION_COEFF)
+    pairs = st.tuples(coeff, coeff)
+    pool = [
+        LinearFn(a, b) for a, b in draw(st.lists(pairs, min_size=3, max_size=6, unique=True))
+    ]
+    shapes = st.sampled_from(["upper", "lower", "lower", "copy"])
+    subsets = st.lists(st.sampled_from(pool), min_size=2, max_size=5, unique=True)
+    fs: list[PWLFunction] = []
+    for shape, chosen in draw(st.lists(st.tuples(shapes, subsets), min_size=1, max_size=6)):
+        if shape == "copy" and fs:
+            fs.append(draw(st.sampled_from(fs)))  # one function, several owners
+        elif shape == "upper":
+            fs.append(envelope_of_lines(list(enumerate(chosen)), everywhere).drop_labels())
+        else:
+            upper = envelope_of_lines(
+                [(i, LinearFn(-ln.a, -ln.b)) for i, ln in enumerate(chosen)], everywhere
+            )
+            fs.append(PWLFunction.build(
+                everywhere, upper.cuts, [LinearFn(-p.a, -p.b) for p in upper.pieces]
+            ))
+    labels = draw(st.permutations(range(len(fs))))
+    # The window runs between two of the ends and cuts, in order, possibly
+    # with a few arbitrary values among the cuts.
+    extra = draw(st.sets(MIXED_COEFF, max_size=2))
+    ends = ["-inf", *sorted({c for fn in fs for c in fn.cuts} | extra), "inf"]
+    i = draw(st.sampled_from(range(len(ends) - 1)))
+    lo, hi = ends[i], ends[draw(st.sampled_from(range(i + 1, len(ends))))]
+    return list(zip(labels, fs)), ParamInterval.closed(lo, hi)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(envelope_inputs())
+def test_single_envelope_pass_is_the_per_window_composition(case):
+    fs, window = case
+    # The same cuts, pieces and labels.
+    assert envelope_of_pwl(fs, window) == envelope_by_windows(fs, window)
