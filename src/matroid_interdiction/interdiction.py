@@ -13,6 +13,9 @@ assembler over artifacts that are built once per instance and passed down:
   :func:`find_candidates` keeps (rank growth or singleton-component
   absorption in growing restrictions) from the basis, found by one greedy
   run, and its replacement elements, and stitches the windows together.
+  The basis and replacements carry over a candidate value that holds a
+  single crossing of the instance and cannot change them, so each run of
+  windows joined by such values is solved once.
 
 :func:`solve_naive` and :func:`solve_intervals` compose them from an instance.
 Both refuse instances with coloops: interdicting such an element makes the
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Sequence
 
-from .matroid import DoubledMatroid, GraphicMatroid
+from .matroid import DoubledMatroid, GraphicMatroid, MatroidView
 from .parametric import (
     RANK_ZERO,
     BasisSchedule,
@@ -47,7 +50,7 @@ from .pwl import (
     envelope_of_pwl,
     stitch,
 )
-from .rationals import ParamInterval, extended
+from .rationals import ParamInterval, extended, interior_point
 from .solution import Solution, build_solution
 
 _FOLLOWS_MAIN = None  # sentinel line meaning "this element tracks the optimum"
@@ -279,7 +282,7 @@ def solve_intervals(inst: MatroidInstance) -> Solution:
 
 
 def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution:
-    """Solve each window between candidate crossings, then stitch.
+    """Solve each run of windows between candidate crossings, then stitch.
 
     Inside a window the optimal basis is fixed (every basis change is a slope
     change, hence a candidate), so one greedy run at the window's
@@ -287,29 +290,87 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
     line: basis minus member plus its replacement element.  Every other
     element's removal optimum is the plain basis line.  The window's
     interdicted optimum is the upper envelope of those lines.
+
+    The basis ``B`` and the replacements stay in force across a candidate
+    value that can change neither (:func:`_carries_over`), so a run of
+    windows joined by such values takes one greedy run, one replacement scan
+    per member and one envelope.  Its envelope equals the stitched envelopes
+    of its windows, since each window's would hold the same lines.
     """
     view = checked_view(inst)
-    bounds = [inst.interval.lo, *map(extended, candidates.lambdas()), inst.interval.hi]
+    _, a, b = inst.scaled
+    groups = [(lam, list(group)) for lam, group in groupby(
+        candidates.entries, key=lambda entry: entry.point.lam)]
+    bounds = [inst.interval.lo, *(extended(lam) for lam, _ in groups), inst.interval.hi]
     parts = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        window = ParamInterval(lo, hi)
-        rep = window.representative()
-        basis = view.greedy_min_basis(inst.order_at(rep))
-        weight_at = inst.weights_at(rep)
-        plain = inst.basis_line(basis)
-        lines = []
-        for e in sorted(basis):
-            replacement = view.replacement_element(basis, e, weight_at)
-            assert replacement is not None
-            lines.append((e, plain - inst.weight_fn(e) + inst.weight_fn(replacement)))
-        # Removing any element outside the basis leaves the plain optimum; the
-        # smallest such id stands for all of them in the envelope's tie-break,
-        # so labels match a sweep over every element.
-        outside = min(set(range(inst.m)) - basis, default=None)
-        if outside is not None:
-            lines.append((outside, plain))
-        parts.append(envelope_of_lines(lines, window))
+    run_lo = bounds[0]
+    basis = None
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if basis is None:
+            rep = interior_point(lo, hi)
+            basis = view.greedy_min_basis(inst.order_at(rep))
+            weight_at = inst.weights_at(rep)
+            replacements = {e: view.replacement_element(basis, e, weight_at)
+                            for e in sorted(basis)}
+        if i < len(groups) and _carries_over(view, basis, replacements, groups[i], a, b):
+            continue
+        parts.append(_run_envelope(inst, basis, replacements, ParamInterval(run_lo, hi)))
+        run_lo, basis = hi, None
     return build_solution(inst, stitch(inst.interval, parts))
+
+
+def _carries_over(
+    view: MatroidView,
+    basis: frozenset[int],
+    replacements: dict[int, int],
+    group: tuple[Fraction, list[CandidateEntry]],
+    a: Sequence[int],
+    b: Sequence[int],
+) -> bool:
+    """Whether the basis and replacements left of a candidate value hold right of it.
+
+    Only a value with exactly one crossing e->f of the whole instance can
+    carry them: then the (weight, id) order just right of it is the order
+    just left of it with e and f swapped.  With ``lam = p/q`` the integer
+    keys ``a[x]*q + b[x]*p`` take ``m - 1`` distinct values exactly then,
+    and that crossing is the value's one entry; identical lines tie
+    everywhere, so their values never carry.  Swapping
+    adjacent e and f changes the greedy basis only when ``e`` is in it, ``f``
+    is not and ``basis - e + f`` is independent; with the basis kept, it
+    changes a member's replacement only when both are outside the basis and
+    that replacement was ``e``.
+    """
+    lam, entries = group
+    p, q = lam.numerator, lam.denominator
+    if len({a_x * q + b_x * p for a_x, b_x in zip(a, b)}) != len(a) - 1:
+        return False
+    e, f = entries[0].point.lighter_before, entries[0].point.lighter_after
+    if f in basis:
+        return True
+    if e in basis:
+        return view.swap(basis, e, f) is None
+    return e not in replacements.values()
+
+
+def _run_envelope(
+    inst: MatroidInstance,
+    basis: frozenset[int],
+    replacements: dict[int, int],
+    window: ParamInterval,
+) -> PWLFunction:
+    """The upper envelope, on ``window``, of the removal lines of one basis."""
+    plain = inst.basis_line(basis)
+    lines = []
+    for e, replacement in replacements.items():
+        assert replacement is not None
+        lines.append((e, plain - inst.weight_fn(e) + inst.weight_fn(replacement)))
+    # Removing any element outside the basis leaves the plain optimum; the
+    # smallest such id stands for all of them in the envelope's tie-break,
+    # so labels match a sweep over every element.
+    outside = min(set(range(inst.m)) - basis, default=None)
+    if outside is not None:
+        lines.append((outside, plain))
+    return envelope_of_lines(lines, window)
 
 
 def doubled_instance(inst: MatroidInstance) -> MatroidInstance:

@@ -91,14 +91,21 @@ class MatroidInstance:
     def scaled(self) -> ScaledLines:
         """The weight lines over their least common denominator ``scale``.
 
-        Computed on first use, not at construction: O(m) integers per instance.
+        Computed on first use, not at construction: O(m) integers per
+        instance.  A numerator already over ``scale`` is kept as it is, not
+        copied into an equal product.
         """
         weights = self.weights
         scale = lcm(*(d for w in weights for d in (w.a.denominator, w.b.denominator)))
+
+        def scaled(c: Fraction) -> int:
+            d = c.denominator
+            return c.numerator if d == scale else c.numerator * (scale // d)
+
         return ScaledLines(
             scale,
-            tuple(w.a.numerator * (scale // w.a.denominator) for w in weights),
-            tuple(w.b.numerator * (scale // w.b.denominator) for w in weights),
+            tuple(scaled(w.a) for w in weights),
+            tuple(scaled(w.b) for w in weights),
         )
 
     def order_at(self, lam: Fraction) -> Callable[[int], int]:

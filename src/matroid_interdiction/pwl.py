@@ -38,7 +38,7 @@ from .rationals import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearFn:
     """The line ``a + lam*b`` (intercept ``a``, slope ``b``), exactly."""
 

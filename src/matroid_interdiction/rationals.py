@@ -138,7 +138,7 @@ def extended(value: ExtendedLike) -> ExtendedRational:
     return ExtendedRational.finite(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamInterval:
     """A closed parameter interval, with optionally infinite ends.
 

@@ -18,7 +18,7 @@ from .pwl import LinearFn, PWLFunction
 from .rationals import ParamInterval, interior_point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One maximal window with a fixed value line and most vital element.
 
@@ -65,13 +65,16 @@ def build_solution(inst: MatroidInstance, labeled: PWLFunction) -> Solution:
     reported instead -- its removal is exactly as damaging.  The basis and
     the replacement scans of each piece use the integer order keys
     (:meth:`.MatroidInstance.order_at`) at the piece's interior point.
+    Segments with equal bases share one ``frozenset``.
     """
     view = inst.view()
     raw: list[Segment] = []
+    bases: dict[frozenset[int], frozenset[int]] = {}
     for lo, hi, line, label in labeled.piece_windows():
         rep = interior_point(lo, hi)
         order = inst.order_at(rep)
         basis = view.greedy_min_basis(order)
+        basis = bases.setdefault(basis, basis)
         most_vital = label
         assert most_vital is not None
         if most_vital not in basis:

@@ -24,6 +24,7 @@ from matroid_interdiction import (
     solve_naive,
 )
 
+from matroid_interdiction import interdiction
 from matroid_interdiction.parametric import interior_crossings
 from randinst import random_graphic, random_rational, random_uniform, sample_window
 
@@ -267,6 +268,64 @@ class TestSolveIntervals:
                     if (lo is None or c > lo) and (hi is None or c < hi)
                 ]
                 assert len(inside) <= k - 1
+
+
+class TestWindowCarryOver:
+    """How often ``window_solution`` recomputes a window's basis and scans."""
+
+    @staticmethod
+    def window_work(monkeypatch, inst):
+        """(windows, greedy runs, replacement scans) of one window solve,
+        counted up to ``build_solution``, which runs its own."""
+        candidates = find_candidates(inst, interior_crossings(inst))
+        counts = Counter()
+        for name in ("greedy_min_basis", "replacement_element"):
+            original = getattr(MatroidView, name)
+
+            def counted(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(MatroidView, name, counted)
+        before_build = Counter()
+        build = interdiction.build_solution
+
+        def snapshot(*args):
+            before_build.update(counts)
+            return build(*args)
+
+        monkeypatch.setattr(interdiction, "build_solution", snapshot)
+        interdiction.window_solution(inst, candidates)
+        return (len(candidates.lambdas()) + 1, before_build["greedy_min_basis"],
+                before_build["replacement_element"])
+
+    def test_generic_windows_share_their_basis(self, monkeypatch):
+        inst = random_graphic(random.Random(0), n_range=(8, 8), m_max=20, coeff=10**6)
+        windows, greedy, scans = self.window_work(monkeypatch, inst)
+        k = inst.rank()
+        assert windows > 100
+        assert 0 < greedy < windows / 2
+        # One scan per basis member per run, not per window.
+        assert scans == k * greedy < k * windows
+
+    @pytest.mark.parametrize("case", ["identical lines", "coincident crossings"])
+    def test_tied_candidate_values_recompute_every_window(self, monkeypatch, case):
+        if case == "identical lines":
+            # Twins have identical lines, so every value ties at least a pair.
+            inst = doubled_instance(
+                random_graphic(random.Random(3), n_range=(5, 5), m_max=9, coeff=10**6))
+        else:
+            # Lines through the origin: every pair crosses at 0.
+            inst = MatroidInstance(
+                UniformMatroid(5, 2),
+                tuple(LinearFn(0, s) for s in (1, -1, 2, -2, 3)),
+                ParamInterval.closed(-5, 5),
+                "",
+            )
+        windows, greedy, scans = self.window_work(monkeypatch, inst)
+        assert windows > 1
+        assert greedy == windows
+        assert scans == inst.rank() * windows
 
 
 class TestSwapContinuity:

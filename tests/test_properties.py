@@ -15,11 +15,13 @@ schedule's recorded walk against that order, and every exchange answer
 against a plain independence test.  Each backend's one-loop independence
 and greedy kernels are checked against its incremental builder, every
 replacement scan against the cheapest exchange by (key, id) under both key
-kinds, and the single-pass envelope of piecewise-linear functions against
-line envelopes per window joined by ``stitch``.
+kinds, the single-pass envelope of piecewise-linear functions against
+line envelopes per window joined by ``stitch``, and the window solver, which
+carries a basis across candidate values, against one greedy run per window.
 Examples are derandomized so every run checks the same instances.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, groupby, product
 
@@ -47,16 +49,19 @@ from matroid_interdiction import (
     solve_naive,
 )
 from matroid_interdiction.cli import _run_checks
-from matroid_interdiction.interdiction import CandidateEntry
+from matroid_interdiction.instances import dump_solution
+from matroid_interdiction.interdiction import CandidateEntry, window_solution
 from matroid_interdiction.matroid import DoubledMatroid
 from matroid_interdiction.pwl import PWLError, stitch
 from matroid_interdiction.parametric import (
+    checked_view,
     group_by_lambda,
     interior_crossings,
     perturbed_bundle_order,
     start_representative,
 )
 from matroid_interdiction.rationals import extended
+from matroid_interdiction.solution import Solution, build_solution
 
 INTEGER_COEFF = st.sampled_from(range(-2, 3))
 # Mixed denominators make the common scale of the integer kernel 6, not 1.
@@ -673,3 +678,59 @@ def test_single_envelope_pass_is_the_per_window_composition(case):
     fs, window = case
     # The same cuts, pieces and labels.
     assert envelope_of_pwl(fs, window) == envelope_by_windows(fs, window)
+
+
+def windows_one_by_one(inst: MatroidInstance, candidates) -> Solution:
+    """The window solver without carry-over: one greedy run, k replacement
+    scans and one line envelope on every window between candidate values."""
+    view = checked_view(inst)
+    bounds = [inst.interval.lo, *map(extended, candidates.lambdas()), inst.interval.hi]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        window = ParamInterval(lo, hi)
+        rep = window.representative()
+        basis = view.greedy_min_basis(inst.order_at(rep))
+        weight_at = inst.weights_at(rep)
+        plain = inst.basis_line(basis)
+        lines = []
+        for e in sorted(basis):
+            replacement = view.replacement_element(basis, e, weight_at)
+            lines.append((e, plain - inst.weight_fn(e) + inst.weight_fn(replacement)))
+        outside = min(set(range(inst.m)) - basis, default=None)
+        if outside is not None:
+            lines.append((outside, plain))
+        parts.append(envelope_of_lines(lines, window))
+    return build_solution(inst, stitch(inst.interval, parts))
+
+
+@st.composite
+def window_instances(draw) -> MatroidInstance:
+    """The solver inputs above, or their backends with coefficients in
+    -9..9, where most candidate values hold one crossing and windows carry
+    over, plus a few identical lines."""
+    inst = draw(instances())
+    if draw(st.booleans()):
+        coeff = st.integers(-9, 9)
+        lines = [LinearFn(draw(coeff), draw(coeff)) for _ in range(inst.m)]
+        element = st.integers(0, inst.m - 1)
+        for e, f in draw(st.lists(st.tuples(element, element), max_size=2)):
+            lines[e] = lines[f]
+        inst = MatroidInstance(inst.backend, tuple(lines), inst.interval, "")
+    return inst
+
+
+@settings(
+    derandomize=True,
+    max_examples=500,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(window_instances())
+def test_window_carry_over_matches_one_run_per_window(inst):
+    candidates = find_candidates(inst, interior_crossings(inst))
+    dumped = [
+        json.dumps(dump_solution(inst, solve(inst, candidates), {}), sort_keys=True).encode()
+        for solve in (window_solution, windows_one_by_one)
+    ]
+    assert dumped[0] == dumped[1]
