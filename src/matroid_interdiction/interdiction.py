@@ -12,10 +12,11 @@ assembler over artifacts that are built once per instance and passed down:
 * :func:`window_solution` solves each window between the crossings that
   :func:`find_candidates` keeps (rank growth or singleton-component
   absorption in growing restrictions) from the basis, found by one greedy
-  run, and its replacement elements, and stitches the windows together.
-  The basis and replacements carry over a candidate value that holds a
-  single crossing of the instance and cannot change them, so each run of
-  windows joined by such values is solved once.
+  run, and its replacement elements.  The basis and replacements carry over
+  a candidate value that holds a single crossing of the instance and cannot
+  change them, so each run of windows joined by such values is solved once,
+  by one integer hull pass over its removal lines; one
+  :meth:`.PWLFunction.build` checks and joins all the runs.
 
 :func:`solve_naive` and :func:`solve_intervals` compose them from an instance.
 Both refuse instances with coloops: interdicting such an element makes the
@@ -36,25 +37,18 @@ from .matroid import DoubledMatroid, GraphicMatroid, MatroidView
 from .parametric import (
     RANK_ZERO,
     BasisSchedule,
+    BasisSums,
     MatroidInstance,
     all_equality_points,
     checked_view,
     parametric_min_basis,
     start_representative,
 )
-from .pwl import (
-    EqualityPoint,
-    LinearFn,
-    PWLFunction,
-    envelope_of_lines,
-    envelope_of_pwl,
-    stitch,
-)
-from .rationals import ParamInterval, extended, interior_point
+from .pwl import EqualityPoint, LinearFn, PWLFunction, envelope_of_pwl, upper_hull
+from .rationals import extended, interior_point
 from .solution import Solution, build_solution
 
 _FOLLOWS_MAIN = None  # sentinel line meaning "this element tracks the optimum"
-_Sums = tuple[int, int]  # a basis's integer line sums over ``MatroidInstance.scaled``
 
 
 def removal_value_functions(
@@ -73,7 +67,8 @@ def removal_value_functions(
     the plain one and f's becomes the old basis.  Changes at one parameter
     value collapse into the last one.  Each basis's line is kept as integer
     sums over :attr:`MatroidInstance.scaled`, moved by one difference per
-    swap, and becomes a :class:`LinearFn` once per piece of the result.
+    swap (see :meth:`.MatroidInstance.basis_sums`), and becomes a
+    :class:`LinearFn` once per piece of the result.
     Elements outside the optimal basis share the undeleted optimum, so their
     functions are the plain value function itself.  The schedule refuses
     coloops; this refuses rank 0.
@@ -82,22 +77,17 @@ def removal_value_functions(
     if not basis:
         raise ValueError(RANK_ZERO)
     view = inst.view()
-    scale, a, b = inst.scaled
+    _, a, b = inst.scaled
     order = inst.order_at(start_representative(inst.interval, schedule.points))
     deleted_bases = {g: view.delete(g).greedy_min_basis(order) for g in basis}
+    sums = {g: inst.basis_sums(bg) for g, bg in deleted_bases.items()}
+    main_sums = inst.basis_sums(basis)
 
-    def sums_of(bs: frozenset[int]) -> _Sums:
-        # a basis's line is (A + lam*B) / scale for its integer sums (A, B)
-        return sum(a[x] for x in bs), sum(b[x] for x in bs)
-
-    sums = {g: sums_of(bg) for g, bg in deleted_bases.items()}
-    main_sums = sums_of(basis)
-
-    own_transitions: dict[int, list[tuple[Fraction | None, _Sums | None]]] = {
+    own_transitions: dict[int, list[tuple[Fraction | None, BasisSums | None]]] = {
         e: [(None, sums[e] if e in basis else _FOLLOWS_MAIN)] for e in range(inst.m)
     }
 
-    def record_own(e: int, lam: Fraction, line: _Sums | None):
+    def record_own(e: int, lam: Fraction, line: BasisSums | None):
         transitions = own_transitions[e]
         if transitions[-1][0] == lam:
             transitions.pop()  # a zero-width span inside a bundle
@@ -132,14 +122,14 @@ def removal_value_functions(
         if all(line is _FOLLOWS_MAIN for _, line in transitions):
             out[e] = schedule.value
         else:
-            out[e] = _assemble(transitions, schedule.value, scale)
+            out[e] = _assemble(inst, transitions, schedule.value)
     return out
 
 
 def _assemble(
-    transitions: Sequence[tuple[Fraction | None, _Sums | None]],
+    inst: MatroidInstance,
+    transitions: Sequence[tuple[Fraction | None, BasisSums | None]],
     main: PWLFunction,
-    scale: int,
 ) -> PWLFunction:
     """Splice explicit line spans with spans that track the main optimum."""
     cuts: list[Fraction] = []
@@ -148,7 +138,7 @@ def _assemble(
         if start is not None:
             cuts.append(start)
         if line is not _FOLLOWS_MAIN:
-            pieces.append(LinearFn(Fraction(line[0], scale), Fraction(line[1], scale)))
+            pieces.append(inst.sums_line(line))
             continue
         end = transitions[i + 1][0] if i + 1 < len(transitions) else None
         first = 0 if start is None else bisect_right(main.cuts, start)
@@ -282,7 +272,7 @@ def solve_intervals(inst: MatroidInstance) -> Solution:
 
 
 def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution:
-    """Solve each run of windows between candidate crossings, then stitch.
+    """Solve each run of windows between candidate crossings, in one envelope.
 
     Inside a window the optimal basis is fixed (every basis change is a slope
     change, hence a candidate), so one greedy run at the window's
@@ -294,16 +284,22 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
     The basis ``B`` and the replacements stay in force across a candidate
     value that can change neither (:func:`_carries_over`), so a run of
     windows joined by such values takes one greedy run, one replacement scan
-    per member and one envelope.  Its envelope equals the stitched envelopes
-    of its windows, since each window's would hold the same lines.
+    per member and one integer hull pass (:func:`.upper_hull`) over its
+    lines, kept as integer sums over :attr:`.MatroidInstance.scaled`.  Every
+    run appends to the same cuts, pieces and labels, with the run's end as a
+    cut, and one :meth:`.PWLFunction.build` on the instance interval checks
+    every cut, seams included, and merges each seam across which neither the
+    line nor the label changes.
     """
     view = checked_view(inst)
     _, a, b = inst.scaled
     groups = [(lam, list(group)) for lam, group in groupby(
         candidates.entries, key=lambda entry: entry.point.lam)]
     bounds = [inst.interval.lo, *(extended(lam) for lam, _ in groups), inst.interval.hi]
-    parts = []
-    run_lo = bounds[0]
+    cuts: list[Fraction] = []
+    pieces: list[LinearFn] = []
+    labels: list[int] = []
+    run_lo = bounds[0].value if bounds[0].is_finite else None
     basis = None
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if basis is None:
@@ -314,9 +310,23 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
                             for e in sorted(basis)}
         if i < len(groups) and _carries_over(view, basis, replacements, groups[i], a, b):
             continue
-        parts.append(_run_envelope(inst, basis, replacements, ParamInterval(run_lo, hi)))
-        run_lo, basis = hi, None
-    return build_solution(inst, stitch(inst.interval, parts))
+        sa, sb = inst.basis_sums(basis)
+        lines = [(sa - a[e] + a[r], sb - b[e] + b[r], e) for e, r in replacements.items()]
+        # Removing any element outside the basis leaves the plain optimum;
+        # the smallest such id stands for all of them in the hull's
+        # tie-break, so labels match a sweep over every element.
+        outside = next((x for x in range(inst.m) if x not in basis), None)
+        if outside is not None:
+            lines.append((sa, sb, outside))
+        run_hi = hi.value if hi.is_finite else None
+        upper_hull(
+            [(la, lb, label, inst.sums_line((la, lb))) for la, lb, label in lines],
+            run_lo, run_hi, cuts, pieces, labels,
+        )
+        if i < len(groups):
+            cuts.append(run_hi)
+        run_lo, basis = run_hi, None
+    return build_solution(inst, PWLFunction.build(inst.interval, cuts, pieces, labels))
 
 
 def _carries_over(
@@ -350,27 +360,6 @@ def _carries_over(
     if e in basis:
         return view.swap(basis, e, f) is None
     return e not in replacements.values()
-
-
-def _run_envelope(
-    inst: MatroidInstance,
-    basis: frozenset[int],
-    replacements: dict[int, int],
-    window: ParamInterval,
-) -> PWLFunction:
-    """The upper envelope, on ``window``, of the removal lines of one basis."""
-    plain = inst.basis_line(basis)
-    lines = []
-    for e, replacement in replacements.items():
-        assert replacement is not None
-        lines.append((e, plain - inst.weight_fn(e) + inst.weight_fn(replacement)))
-    # Removing any element outside the basis leaves the plain optimum; the
-    # smallest such id stands for all of them in the envelope's tie-break,
-    # so labels match a sweep over every element.
-    outside = min(set(range(inst.m)) - basis, default=None)
-    if outside is not None:
-        lines.append((outside, plain))
-    return envelope_of_lines(lines, window)
 
 
 def doubled_instance(inst: MatroidInstance) -> MatroidInstance:

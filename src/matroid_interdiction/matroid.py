@@ -22,6 +22,7 @@ id order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -457,15 +458,14 @@ class MatroidView:
         """Elements whose deletion drops the rank (graphic: bridges)."""
         backend = self.backend
         if isinstance(backend, GraphicMatroid):
+            # A bridge is a non-loop edge alone in its component.
             comp_of = edge_biconnected_components(
                 backend.node_count, backend.edges, self.active
             )
-            partition = ComponentPartition(comp_of)
+            sizes = Counter(comp_of.values())
+            edges = backend.edges
             return frozenset(
-                e
-                for e in self.active
-                if partition.is_singleton(e)
-                and backend.edges[e][0] != backend.edges[e][1]
+                e for e, c in comp_of.items() if sizes[c] == 1 and edges[e][0] != edges[e][1]
             )
         if isinstance(backend, UniformMatroid):
             if len(self.active) <= backend.k:

@@ -16,7 +16,8 @@ After each bundle the basis is checked once against a fresh greedy run, so a
 degenerate bundle can never silently corrupt the schedule.
 
 Orders, crossings and basis lines are computed on the instance's weight lines
-scaled to integers (:meth:`MatroidInstance.order_at`), and the crossings are
+scaled to integers (:meth:`MatroidInstance.order_at`,
+:meth:`MatroidInstance.basis_sums`), and the crossings are
 filtered and sorted by integer keys (:func:`interior_crossings`); ``Fraction``
 appears only where a value leaves the sweep: crossing positions, the
 representative points that verify bundles, and value lines.
@@ -30,7 +31,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .matroid import Backend, ColoopError, MatroidView
 from .pwl import EqualityPoint, LinearFn, PWLFunction
@@ -51,6 +52,9 @@ class ScaledLines(NamedTuple):
     scale: int
     a: tuple[int, ...]
     b: tuple[int, ...]
+
+
+BasisSums = tuple[int, int]  # see MatroidInstance.basis_sums
 
 
 @dataclass(frozen=True)
@@ -118,12 +122,19 @@ class MatroidInstance:
         _, a, b = self.scaled
         return [a_e * q + b_e * p for a_e, b_e in zip(a, b)].__getitem__
 
-    def basis_line(self, basis: frozenset[int]) -> LinearFn:
-        scale, a, b = self.scaled
-        return LinearFn(
-            Fraction(sum(a[e] for e in basis), scale),
-            Fraction(sum(b[e] for e in basis), scale),
-        )
+    def basis_sums(self, basis: Iterable[int]) -> BasisSums:
+        """A basis's line as integer sums ``(A, B)`` over :attr:`scaled`: the
+        line is ``(A + lam*B) / scale``, so exchanges move it exactly."""
+        _, a, b = self.scaled
+        return sum(a[e] for e in basis), sum(b[e] for e in basis)
+
+    def sums_line(self, sums: BasisSums) -> LinearFn:
+        """The line ``(A + lam*B) / scale`` of integer sums ``(A, B)``."""
+        scale = self.scaled.scale
+        return LinearFn(Fraction(sums[0], scale), Fraction(sums[1], scale))
+
+    def basis_line(self, basis: Iterable[int]) -> LinearFn:
+        return self.sums_line(self.basis_sums(basis))
 
 
 RANK_ZERO = "rank-0 instance: there is nothing to interdict"

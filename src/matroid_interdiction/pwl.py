@@ -3,10 +3,12 @@
 A weight is a line ``a + lam*b``; a value function is a continuous piecewise
 linear function stored as interior cut positions plus one line per piece, so
 unbounded domains need no special vertices.  Upper envelopes are exact and
-built one way: an integer hull pass over the lines of a window on which every
-input is a single line.  :func:`envelope_of_lines` is one such pass, which
-the window solver joins with :func:`stitch`; :func:`envelope_of_pwl` runs one
-pass per window between its inputs' cuts and builds the result once.  Ties in
+built one way: integer hull passes (:func:`upper_hull`), each over the lines
+of a window on which every input is a single line, fill one set of cut,
+piece and label lists, and one :meth:`PWLFunction.build` turns them into the
+result.  :func:`envelope_of_pwl` runs one pass per window between its
+inputs' cuts, the window solver one per run of windows, and
+:func:`envelope_of_lines`, which the oracle uses, a single pass.  Ties in
 value are broken by the smallest element id so the winning labels are
 reproducible across solvers and platforms.
 
@@ -17,9 +19,8 @@ elements tie along a whole piece; value-level comparisons always ignore them
 
 Validation: every cut is checked once, where it enters a function.
 :meth:`PWLFunction.build` checks its cuts in integers (order and continuity
-by cross-multiplication, no line evaluated in ``Fraction``); :func:`stitch`
-checks only the seams between parts that were built already; and
-:meth:`PWLFunction.drop_labels` only normalizes.
+by cross-multiplication, no line evaluated in ``Fraction``), seams between
+hull passes included; :meth:`PWLFunction.drop_labels` only normalizes.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def pwl_equal(f: PWLFunction, g: PWLFunction) -> bool:
     return fn.cuts == gn.cuts and fn.pieces == gn.pieces
 
 
-def _upper_hull(
+def upper_hull(
     lines: Iterable[tuple[int, int, int, LinearFn]],
     lo: Fraction | None,
     hi: Fraction | None,
@@ -319,7 +320,7 @@ def envelope_of_lines(
     Value ties are resolved toward the smallest label.  The result is
     normalized; the classic slope-ordered hull construction keeps the total
     work at O(n log n).  The hull runs on the lines scaled to integers over
-    their common denominator (see :func:`_upper_hull`).
+    their common denominator (see :func:`upper_hull`).
     """
     if not lines:
         raise ValueError("need at least one line")
@@ -332,7 +333,7 @@ def envelope_of_lines(
     pieces: list[LinearFn] = []
     labels: list[int] = []
     scaled = [(*_scaled(line, scale), label, line) for label, line in lines]
-    _upper_hull(scaled, lo, hi, cuts, pieces, labels)
+    upper_hull(scaled, lo, hi, cuts, pieces, labels)
     return PWLFunction.build(window, cuts, pieces, labels)
 
 
@@ -344,7 +345,7 @@ def envelope_of_pwl(
     Every input must be defined on all of ``window``.  The inputs' cuts
     strictly inside ``window`` split it into sub-windows on which every input
     is a single line; each sub-window takes one integer hull pass
-    (:func:`_upper_hull`) over the pieces of all inputs there.  The pieces
+    (:func:`upper_hull`) over the pieces of all inputs there.  The pieces
     are scaled to integers once, over one common denominator, and each input
     steps to its next scaled piece at each of its own cuts, so no piece is
     searched for.  The hull crossings and the sub-window seams go to one
@@ -381,41 +382,10 @@ def envelope_of_pwl(
     pieces: list[LinearFn] = []
     labels: list[int] = []
     for cut in sorted(owners):
-        _upper_hull(current, lo, cut, cuts, pieces, labels)
+        upper_hull(current, lo, cut, cuts, pieces, labels)
         cuts.append(cut)
         for j in owners[cut]:
             current[j] = next(steps[j])
         lo = cut
-    _upper_hull(current, lo, hi, cuts, pieces, labels)
+    upper_hull(current, lo, hi, cuts, pieces, labels)
     return PWLFunction.build(window, cuts, pieces, labels)
-
-
-def stitch(domain: ParamInterval, parts: Sequence[PWLFunction]) -> PWLFunction:
-    """Join labeled functions whose domains tile ``domain``, left to right.
-
-    Every part is a built function, so its own cuts were checked when it was
-    built (by :func:`envelope_of_lines`, for the window solver).  Only what joining
-    adds is checked here: that the parts tile ``domain`` and that the lines
-    meet at every seam.  The start of every part after the first becomes a
-    cut unless neither the line nor the label changes across it.  The oracle
-    (:func:`.oracle.solve_bruteforce`) keeps its own copy of this loop on
-    purpose: the reference solver shares no assembly code with the solvers
-    it checks.
-    """
-    if not parts or parts[0].domain.lo != domain.lo or parts[-1].domain.hi != domain.hi:
-        raise PWLError(f"parts do not tile {domain}")
-    cuts = list(parts[0].cuts)
-    pieces = list(parts[0].pieces)
-    labels = list(parts[0].labels)
-    for prev, part in zip(parts, parts[1:]):
-        if prev.domain.hi != part.domain.lo:
-            raise PWLError(f"parts do not tile {domain}")
-        seam = part.domain.lo.value
-        _check_meet(pieces[-1], part.pieces[0], seam)
-        merge = part.pieces[0] == pieces[-1] and part.labels[0] == labels[-1]
-        if not merge:
-            cuts.append(seam)
-        cuts.extend(part.cuts)
-        pieces.extend(part.pieces[merge:])  # on a merge, part.pieces[0] equals pieces[-1]
-        labels.extend(part.labels[merge:])
-    return PWLFunction(domain, tuple(cuts), tuple(pieces), tuple(labels))

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from matroid_interdiction import (
     MatroidInstance,
     MatroidView,
     ParamInterval,
+    PWLFunction,
     UniformMatroid,
     all_equality_points,
     doubled_graphic_instance,
@@ -24,7 +26,7 @@ from matroid_interdiction import (
     solve_naive,
 )
 
-from matroid_interdiction import interdiction
+from matroid_interdiction import interdiction, pwl
 from matroid_interdiction.parametric import interior_crossings
 from randinst import random_graphic, random_rational, random_uniform, sample_window
 
@@ -326,6 +328,38 @@ class TestWindowCarryOver:
         assert windows > 1
         assert greedy == windows
         assert scans == inst.rank() * windows
+
+
+class TestOneEnvelopeBuild:
+    """``solve_intervals`` checks and joins its envelope in one build."""
+
+    @pytest.mark.parametrize("case", ["generic", "windows never carry over"])
+    def test_one_build_and_no_line_envelope(self, monkeypatch, case):
+        if case == "generic":
+            inst = random_graphic(random.Random(0), n_range=(8, 8), m_max=20, coeff=10**6)
+        else:
+            # Identical twin lines tie every candidate value: a run per window.
+            inst = doubled_instance(
+                random_graphic(random.Random(3), n_range=(5, 5), m_max=9, coeff=10**6))
+        counts = Counter()
+        build, line_envelope = PWLFunction.build, pwl.envelope_of_lines
+
+        def counted_build(*args):
+            counts["build"] += 1
+            return build(*args)
+
+        def counted_line_envelope(*args):
+            counts["envelope_of_lines"] += 1
+            return line_envelope(*args)
+
+        monkeypatch.setattr(PWLFunction, "build", staticmethod(counted_build))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("matroid_interdiction") and hasattr(module, "envelope_of_lines"):
+                monkeypatch.setattr(module, "envelope_of_lines", counted_line_envelope)
+        solution = solve_intervals(inst)
+        assert counts == {"build": 1}
+        assert len(find_candidates(inst, interior_crossings(inst)).lambdas()) > 1
+        assert len(solution.segments) > 1
 
 
 class TestSwapContinuity:

@@ -15,9 +15,12 @@ schedule's recorded walk against that order, and every exchange answer
 against a plain independence test.  Each backend's one-loop independence
 and greedy kernels are checked against its incremental builder, every
 replacement scan against the cheapest exchange by (key, id) under both key
-kinds, the single-pass envelope of piecewise-linear functions against
-line envelopes per window joined by ``stitch``, and the window solver, which
-carries a basis across candidate values, against one greedy run per window.
+kinds, the coloop scan against the rank-drop definition on restrictions of
+multigraphs with loops and parallel edges and of uniform and doubled
+backends, the single-pass envelope of piecewise-linear functions against
+line envelopes per window joined by :func:`stitch`, and the window solver,
+which carries a basis across candidate values and builds one envelope, against
+one greedy run and one line envelope per window, joined the same way.
 Examples are derandomized so every run checks the same instances.
 """
 
@@ -52,7 +55,7 @@ from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.instances import dump_solution
 from matroid_interdiction.interdiction import CandidateEntry, window_solution
 from matroid_interdiction.matroid import DoubledMatroid
-from matroid_interdiction.pwl import PWLError, stitch
+from matroid_interdiction.pwl import PWLError
 from matroid_interdiction.parametric import (
     checked_view,
     group_by_lambda,
@@ -619,11 +622,61 @@ def test_greedy_kernel_matches_the_builder(backend, kind, data):
     assert backend.greedy(order) == builder_greedy(backend, order)
 
 
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    st.one_of(
+        graphic_backends(8, bridges_ok=True),
+        uniform_backends(7, coloops_ok=True),
+        st.builds(DoubledMatroid, st.one_of(
+            graphic_backends(5, bridges_ok=True), uniform_backends(4, coloops_ok=True))),
+    ),
+    st.data(),
+)
+def test_coloop_scan_is_the_rank_drop_definition(backend, data):
+    everything = frozenset(range(backend.size))
+    restriction = st.frozensets(st.sampled_from(sorted(everything)))
+    active = data.draw(st.one_of(st.just(everything), restriction))
+    view = MatroidView(backend, active)
+    rank = view.rank()
+    assert view.coloop_scan() == {e for e in active if view.delete(e).rank() < rank}
+
+
+def stitch(domain: ParamInterval, parts: list[PWLFunction]) -> PWLFunction:
+    """Join labeled functions whose domains tile ``domain``, left to right.
+
+    The reference join of the per-window envelopes below, independent of the
+    single :meth:`PWLFunction.build` that the solvers make.  Every part's own
+    cuts were checked when it was built; this checks that the parts tile
+    ``domain`` and that the lines meet at every seam, in ``Fraction``
+    arithmetic.  The start of every part after the first becomes a cut
+    unless neither the line nor the label changes across it.
+    """
+    if not parts or parts[0].domain.lo != domain.lo or parts[-1].domain.hi != domain.hi:
+        raise PWLError(f"parts do not tile {domain}")
+    cuts = list(parts[0].cuts)
+    pieces = list(parts[0].pieces)
+    labels = list(parts[0].labels)
+    for prev, part in zip(parts, parts[1:]):
+        if prev.domain.hi != part.domain.lo:
+            raise PWLError(f"parts do not tile {domain}")
+        seam = part.domain.lo.value
+        left, right = pieces[-1](seam), part.pieces[0](seam)
+        if left != right:
+            raise PWLError(f"discontinuity at {seam}: {left} != {right}")
+        merge = part.pieces[0] == pieces[-1] and part.labels[0] == labels[-1]
+        if not merge:
+            cuts.append(seam)
+        cuts.extend(part.cuts)
+        pieces.extend(part.pieces[merge:])  # on a merge, part.pieces[0] equals pieces[-1]
+        labels.extend(part.labels[merge:])
+    return PWLFunction(domain, tuple(cuts), tuple(pieces), tuple(labels))
+
+
 def envelope_by_windows(
     fs: list[tuple[int, PWLFunction]], window: ParamInterval
 ) -> PWLFunction:
     """The envelope by its definition: one line envelope on every window
-    between the inputs' cuts, joined by ``stitch``."""
+    between the inputs' cuts, joined by :func:`stitch`."""
     inner = sorted({c for _, fn in fs for c in fn.cuts if window.strictly_inside(c)})
     bounds = [window.lo, *map(extended, inner), window.hi]
     parts = []

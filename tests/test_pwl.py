@@ -11,7 +11,6 @@ from matroid_interdiction.pwl import (
     envelope_of_pwl,
     equality_point,
     pwl_equal,
-    stitch,
 )
 from matroid_interdiction.rationals import ParamInterval
 
@@ -59,9 +58,11 @@ class TestPWLConstruction:
         f = PWLFunction.build(WINDOW, [Fraction(1)], [F(0, 1), F(0, 1)])
         assert f.cuts == ()
         assert f.pieces == (F(0, 1),)
+        labeled = PWLFunction.build(WINDOW, [Fraction(1)], [F(0, 1), F(0, 1)], [2, 2])
+        assert (labeled.cuts, labeled.pieces, labeled.labels) == ((), (F(0, 1),), (2,))
 
     def test_discontinuity_rejected(self):
-        with pytest.raises(PWLError):
+        with pytest.raises(PWLError, match=r"^discontinuity at 1: 1 != 2$"):
             PWLFunction.build(WINDOW, [Fraction(1)], [F(0, 1), F(0, 2)])
 
     def test_cut_outside_domain_rejected(self):
@@ -218,33 +219,6 @@ class TestEnvelopeOfPWL:
             for outside in (ParamInterval.closed(-1, 2), ParamInterval.closed(2, "inf")):
                 with pytest.raises(ValueError):
                     envelope_of_pwl(narrow, outside)
-
-
-class TestStitch:
-    LEFT = ParamInterval.closed(0, 1)
-    RIGHT = ParamInterval.closed(1, 2)
-
-    def test_discontinuous_seam_rejected(self):
-        parts = [PWLFunction.from_line(self.LEFT, F(0, 1), 0),
-                 PWLFunction.from_line(self.RIGHT, F(5, 0), 1)]
-        with pytest.raises(PWLError, match=r"^discontinuity at 1: 1 != 5$"):
-            stitch(WINDOW, parts)
-
-    def test_parts_must_tile_the_domain(self):
-        left = PWLFunction.from_line(self.LEFT, F(0, 1), 0)
-        gap = PWLFunction.from_line(ParamInterval.closed(Fraction(3, 2), 2), F(0, 1), 0)
-        for parts in ([left, gap], [left], [], [gap, left]):
-            with pytest.raises(PWLError, match="do not tile"):
-                stitch(WINDOW, parts)
-
-    def test_seam_is_a_cut_unless_line_and_label_continue(self):
-        left = PWLFunction.from_line(self.LEFT, F(0, 1), 0)
-        same = stitch(WINDOW, [left, PWLFunction.from_line(self.RIGHT, F(0, 1), 0)])
-        assert (same.cuts, same.pieces, same.labels) == ((), (F(0, 1),), (0,))
-        relabeled = stitch(WINDOW, [left, PWLFunction.from_line(self.RIGHT, F(0, 1), 2)])
-        assert relabeled.cuts == (Fraction(1),) and relabeled.labels == (0, 2)
-        bent = stitch(WINDOW, [left, PWLFunction.from_line(self.RIGHT, F(2, -1), 0)])
-        assert bent.cuts == (Fraction(1),) and bent.pieces == (F(0, 1), F(2, -1))
 
 
 class TestPWLEqual:
