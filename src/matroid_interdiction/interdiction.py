@@ -11,12 +11,13 @@ assembler over artifacts that are built once per instance and passed down:
   as integer sums over the scaled weights until it becomes a piece.
 * :func:`window_solution` solves each window between the crossings that
   :func:`find_candidates` keeps (rank growth or singleton-component
-  absorption in growing restrictions) from the basis, found by one greedy
-  run, and its replacement elements.  The basis and replacements carry over
-  a candidate value that holds a single crossing of the instance and cannot
-  change them, so each run of windows joined by such values is solved once,
-  by one integer hull pass over its removal lines; one
-  :meth:`.PWLFunction.build` checks and joins all the runs.
+  absorption in growing restrictions, one :class:`.GrowingRestriction` per
+  element) from the basis, found by one greedy run, and its replacement
+  elements.  The basis and replacements carry over a candidate value that
+  holds a single crossing of the instance and cannot change them, so each
+  run of windows joined by such values is solved once, by one integer hull
+  pass over its removal lines; one :meth:`.PWLFunction.build` checks and
+  joins all the runs.
 
 :func:`solve_naive` and :func:`solve_intervals` compose them from an instance.
 Both refuse instances with coloops: interdicting such an element makes the
@@ -33,7 +34,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Sequence
 
-from .matroid import DoubledMatroid, GraphicMatroid, MatroidView
+from .matroid import DoubledMatroid, GraphicMatroid, GrowingRestriction, MatroidView
 from .parametric import (
     RANK_ZERO,
     BasisSchedule,
@@ -218,49 +219,26 @@ def find_candidates(
     component (singleton case); every slope change of the plain or any
     removal value function happens at a kept crossing.
 
-    Both tests are incremental, since the restrictions only grow.  Each
-    element keeps the greedy builder of its restriction's basis, whose
-    ``add`` is the rank test, and the restriction's coloops, which are its
-    singleton components apart from loops (loops never merge).  An insertion
-    that raises the rank makes ``f`` a new coloop; otherwise exactly the
-    coloops on ``f``'s fundamental circuit, those ``g`` with ``basis - g + f``
-    independent, stop being coloops and join ``f``'s component.
+    Both tests are incremental, since the restrictions only grow: each
+    element keeps a :class:`.GrowingRestriction`, seeded with its initial
+    set in id order, whose ``add`` answers both.  Its coloops are the
+    restriction's singleton components apart from loops, which never merge.
     """
     view = inst.view()
     m = inst.m
     slope = inst.scaled.b
     order = inst.order_at(start_representative(inst.interval, crossings))
-
-    builders = []
-    bases: list[set[int]] = []
-    coloops: list[set[int]] = []
-    for e in range(m):
-        # f is cheaper at the start and never crosses back above e: the lines
-        # are parallel or they already crossed left of the start.
-        grown = {
-            f
-            for f in range(m)
-            if f != e
-            and order(f) < order(e)
-            and slope[f] <= slope[e]
-        }
-        builder = inst.backend.builder()
-        builders.append(builder)
-        bases.append({f for f in sorted(grown) if builder.add(f)})
-        coloops.append(set(view.restrict(grown).coloop_scan()))
-
+    # f is cheaper than e at the start and never crosses back above it: the
+    # lines are parallel or they already crossed left of the start.
+    growers = [
+        GrowingRestriction(view, (
+            f for f in range(m) if f != e and order(f) < order(e) and slope[f] <= slope[e]
+        ))
+        for e in range(m)
+    ]
     entries: list[CandidateEntry] = []
     for pt in crossings:
-        e, f = pt.lighter_before, pt.lighter_after
-        by_rank = builders[e].add(f)
-        if by_rank:
-            bases[e].add(f)
-            coloops[e].add(f)
-            by_singleton = False
-        else:
-            merged = {g for g in coloops[e] if view.swap(bases[e], g, f)}
-            coloops[e] -= merged
-            by_singleton = bool(merged)
+        by_rank, by_singleton = growers[pt.lighter_before].add(pt.lighter_after)
         if by_rank or by_singleton:
             entries.append(CandidateEntry(pt, by_rank, by_singleton))
     return CandidateSet(tuple(entries))

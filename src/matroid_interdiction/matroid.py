@@ -8,11 +8,15 @@ the ground set.  Every exchange test goes through :meth:`MatroidView.swap`.
 Each backend answers a one-shot query with its ``independent`` kernel, one
 loop over the set, and takes a greedy basis of an ordered sequence with its
 ``greedy`` kernel, one loop as well; its ``builder`` is the incremental rank
-structure that the rank, the coloop scan and the candidate filter grow one
-element at a time, and the reference both kernels are tested against.
+structure that the rank and :class:`GrowingRestriction` grow one element at a
+time, and the reference both kernels are tested against.
+:class:`GrowingRestriction` keeps a growing restriction's coloops by the
+insertion rule; it is the one coloop computation, behind both the coloop scan
+and the candidate filter.
 
 Views and bases are immutable and all queries are pure, so a view can be
-shared between threads.  Graphic independence is an acyclicity check: one loop
+shared between threads; a :class:`GrowingRestriction` is mutable and belongs
+to its caller.  Graphic independence is an acyclicity check: one loop
 over the set with the disjoint-set find inlined on a fresh parent list,
 O(|S| alpha) per test; that is deliberate desk-scale machinery, not the
 asymptotically optimal dynamic structure.  Replacement scans sort the id-sorted
@@ -22,7 +26,6 @@ id order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -242,72 +245,6 @@ class _DoubledBuilder:
 Backend = Union[GraphicMatroid, UniformMatroid, DoubledMatroid]
 
 
-def edge_biconnected_components(
-    node_count: int, edges: tuple[tuple[int, int], ...], active: Iterable[int]
-) -> dict[int, int]:
-    """Partition the active edges of a multigraph into 2-connected components.
-
-    Returns a map from edge id to a canonical component id (the smallest edge
-    id in the component).  Bridges and self-loops each form their own
-    singleton component.  Iterative so deep graphs cannot overflow the stack.
-    """
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    comp_of: dict[int, int] = {}
-    for e in active:
-        u, v = edges[e]
-        if u == v:
-            comp_of[e] = e
-            continue
-        adjacency.setdefault(u, []).append((e, v))
-        adjacency.setdefault(v, []).append((e, u))
-
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    time = 0
-    edge_stack: list[int] = []
-    for root in sorted(adjacency):
-        if root in disc:
-            continue
-        disc[root] = low[root] = time
-        time += 1
-        frames: list[list] = [[root, -1, iter(adjacency[root])]]
-        while frames:
-            u, parent_edge, neighbours = frames[-1]
-            moved = False
-            for eid, w in neighbours:
-                if eid == parent_edge:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = time
-                    time += 1
-                    edge_stack.append(eid)
-                    frames.append([w, eid, iter(adjacency[w])])
-                    moved = True
-                    break
-                if disc[w] < disc[u]:
-                    edge_stack.append(eid)
-                    if disc[w] < low[u]:
-                        low[u] = disc[w]
-            if moved:
-                continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                if low[u] < low[parent]:
-                    low[parent] = low[u]
-                if low[u] >= disc[parent]:
-                    group = []
-                    while True:
-                        top = edge_stack.pop()
-                        group.append(top)
-                        if top == parent_edge:
-                            break
-                    cid = min(group)
-                    for e in group:
-                        comp_of[e] = cid
-    return comp_of
-
-
 class ComponentPartition:
     """Partition of the active elements by the relation "share a circuit"."""
 
@@ -414,11 +351,11 @@ class MatroidView:
             raise ValueError(f"basis + e{f} is independent; no circuit exists")
         return frozenset([f, *(g for g in basis if self.swap(basis, g, f))])
 
-    def components_via_circuits(self) -> ComponentPartition:
-        """Generic component computation from one basis.
+    def components(self) -> ComponentPartition:
+        """The share-a-circuit partition, from one basis.
 
         The fundamental circuits of a single basis generate the whole
-        share-a-circuit relation, so uniting their members suffices.
+        relation, so uniting their members suffices.
         """
         ground = self.ground()
         index = {e: i for i, e in enumerate(ground)}
@@ -432,14 +369,6 @@ class MatroidView:
                 dsu.union(index[f], index[g])
         comp_of = {e: ground[dsu.find(index[e])] for e in ground}
         return ComponentPartition(comp_of)
-
-    def components(self) -> ComponentPartition:
-        if isinstance(self.backend, GraphicMatroid):
-            comp_of = edge_biconnected_components(
-                self.backend.node_count, self.backend.edges, self.active
-            )
-            return ComponentPartition(comp_of)
-        return self.components_via_circuits()
 
     def replacement_element(
         self, basis: frozenset[int], e: int, weight_at: WeightAt
@@ -455,31 +384,41 @@ class MatroidView:
         return next((r for r in outside if self.swap(basis, e, r)), None)
 
     def coloop_scan(self) -> frozenset[int]:
-        """Elements whose deletion drops the rank (graphic: bridges)."""
-        backend = self.backend
-        if isinstance(backend, GraphicMatroid):
-            # A bridge is a non-loop edge alone in its component.
-            comp_of = edge_biconnected_components(
-                backend.node_count, backend.edges, self.active
-            )
-            sizes = Counter(comp_of.values())
-            edges = backend.edges
-            return frozenset(
-                e for e, c in comp_of.items() if sizes[c] == 1 and edges[e][0] != edges[e][1]
-            )
-        if isinstance(backend, UniformMatroid):
-            if len(self.active) <= backend.k:
-                return frozenset(self.active)
-            return frozenset()
-        if isinstance(backend, DoubledMatroid) and len(self.active) == backend.size:
-            return frozenset()
-        full_rank = self.rank()
-        out = []
-        for e in sorted(self.active):
-            builder = self.backend.builder()
-            rank_without = sum(
-                1 for x in sorted(self.active) if x != e and builder.add(x)
-            )
-            if rank_without < full_rank:
-                out.append(e)
-        return frozenset(out)
+        """Elements whose deletion drops the rank: the coloops of a
+        :class:`GrowingRestriction` fed the active set."""
+        return frozenset(GrowingRestriction(self, sorted(self.active)).coloops)
+
+
+class GrowingRestriction:
+    """A restriction that only grows, with its greedy basis and its coloops.
+
+    Inserting ``f`` either raises the rank, and then ``f`` joins the basis
+    and becomes a coloop while every old coloop stays one, or it does not,
+    and then exactly the coloops on ``f``'s fundamental circuit, those ``g``
+    with ``basis - g + f`` independent, stop being coloops (a loop's circuit
+    is itself).  Coloops are in every basis, so one :meth:`MatroidView.swap`
+    per coloop decides it.  Inserting a set one element at a time, in any
+    order, ends at that set's coloops; the basis is the builder's greedy
+    basis of the insertion order.
+    """
+
+    __slots__ = ("view", "builder", "basis", "coloops")
+
+    def __init__(self, view: MatroidView, elements: Iterable[int] = ()):
+        self.view = view
+        self.builder = view.backend.builder()
+        self.basis: set[int] = set()
+        self.coloops: set[int] = set()
+        for f in elements:
+            self.add(f)
+
+    def add(self, f: int) -> tuple[bool, bool]:
+        """Insert ``f``: (the rank grew, some coloops merged into ``f``'s
+        component)."""
+        if self.builder.add(f):
+            self.basis.add(f)
+            self.coloops.add(f)
+            return True, False
+        merged = {g for g in self.coloops if self.view.swap(self.basis, g, f)}
+        self.coloops -= merged
+        return False, bool(merged)

@@ -84,9 +84,6 @@ class MatroidInstance:
     def rank(self) -> int:
         return self.view().rank()
 
-    def weight_fn(self, e: int) -> LinearFn:
-        return self.weights[e]
-
     def weights_at(self, lam: Fraction) -> Callable[[int], Fraction]:
         weights = self.weights
         return lambda e: weights[e](lam)

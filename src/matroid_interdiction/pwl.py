@@ -53,12 +53,6 @@ class LinearFn:
     def __call__(self, lam: Fraction) -> Fraction:
         return self.a + lam * self.b
 
-    def __add__(self, other: "LinearFn") -> "LinearFn":
-        return LinearFn(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "LinearFn") -> "LinearFn":
-        return LinearFn(self.a - other.a, self.b - other.b)
-
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*lam"
 

@@ -9,9 +9,11 @@ exact rational; there are no tolerances anywhere.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
+import json
 import random
 import time
 from dataclasses import dataclass, field
+from hashlib import sha256
 
 import pytest
 
@@ -20,6 +22,7 @@ from matroid_interdiction import (
     LinearFn,
     MatroidInstance,
     ParamInterval,
+    all_equality_points,
     compare,
     doubled_instance,
     find_candidates,
@@ -31,10 +34,15 @@ from matroid_interdiction import (
     solve_intervals,
     solve_naive,
 )
+from matroid_interdiction.instances import dump_solution
 
 from randinst import random_graphic, random_rational, random_uniform, sample_window
 
 SEED = 20260808
+# Criterion 10's outputs, byte for byte: the canonical solution JSON and the
+# candidate filter's entry list (see test_criterion_10_scale_smoke).
+SCALE_SOLUTION_SHA256 = "0caf0abca2bda18ddce4ff5743d70805300d8a6475f73e8e0f179e6c530df198"
+SCALE_CANDIDATES_SHA256 = "a39c8456e488f384dd4faeba83653ff5e4aa90cb59d61548d240d9c580f1a2af"
 N_GRAPHIC = 500
 N_UNIFORM = 100
 
@@ -299,3 +307,11 @@ def test_criterion_10_scale_smoke():
         f"solve_naive on m={m}, n={n} took {elapsed:.1f}s < 300s "
         f"({len(sol.segments)} segments)",
     )
+    dumped = json.dumps(dump_solution(inst, sol, {}), sort_keys=True, separators=(",", ":"))
+    assert sha256(dumped.encode()).hexdigest() == SCALE_SOLUTION_SHA256
+    entries = find_candidates(inst, all_equality_points(inst)).entries
+    listing = "".join(
+        f"{en.point.lighter_before} {en.point.lighter_after} {en.point.lam} {en.tags}\n"
+        for en in entries
+    )
+    assert sha256(listing.encode()).hexdigest() == SCALE_CANDIDATES_SHA256

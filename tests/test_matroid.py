@@ -172,22 +172,6 @@ class TestComponents:
         assert parts.same_component(0, 1)
         assert parts.is_singleton(2)
 
-    def test_circuit_route_agrees_with_biconnectivity_route(self):
-        rng = random.Random(21)
-        for _ in range(60):
-            inst = random_graphic(rng, n_range=(3, 6), m_max=12)
-            view = inst.view()
-            assert view.components() == view.components_via_circuits()
-
-    def test_circuit_route_agrees_on_restrictions(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            inst = random_graphic(rng, n_range=(4, 6), m_max=12)
-            view = inst.view()
-            subset = frozenset(e for e in view.ground() if rng.random() < 0.6)
-            sub = view.restrict(subset)
-            assert sub.components() == sub.components_via_circuits()
-
 
 class TestReplacementElement:
     def test_only_non_tree_edge_replaces_anything(self):

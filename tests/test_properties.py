@@ -17,10 +17,12 @@ and greedy kernels are checked against its incremental builder, every
 replacement scan against the cheapest exchange by (key, id) under both key
 kinds, the coloop scan against the rank-drop definition on restrictions of
 multigraphs with loops and parallel edges and of uniform and doubled
-backends, the single-pass envelope of piecewise-linear functions against
-line envelopes per window joined by :func:`stitch`, and the window solver,
-which carries a basis across candidate values and builds one envelope, against
-one greedy run and one line envelope per window, joined the same way.
+backends, the coloops, basis and flags of a restriction grown in any order
+against the same definition and a fresh builder run, the single-pass
+envelope of piecewise-linear functions against line envelopes per window
+joined by :func:`stitch`, and the window solver, which carries a basis across
+candidate values and builds one envelope, against one greedy run and one line
+envelope per window, joined the same way.
 Examples are derandomized so every run checks the same instances.
 """
 
@@ -54,7 +56,7 @@ from matroid_interdiction import (
 from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.instances import dump_solution
 from matroid_interdiction.interdiction import CandidateEntry, window_solution
-from matroid_interdiction.matroid import DoubledMatroid
+from matroid_interdiction.matroid import DoubledMatroid, GrowingRestriction
 from matroid_interdiction.pwl import PWLError
 from matroid_interdiction.parametric import (
     checked_view,
@@ -641,6 +643,36 @@ def test_coloop_scan_is_the_rank_drop_definition(backend, data):
     assert view.coloop_scan() == {e for e in active if view.delete(e).rank() < rank}
 
 
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    st.one_of(
+        graphic_backends(8, bridges_ok=True),
+        uniform_backends(7, coloops_ok=True),
+        st.builds(DoubledMatroid, st.one_of(
+            graphic_backends(5, bridges_ok=True), uniform_backends(4, coloops_ok=True))),
+    ),
+    st.data(),
+)
+def test_growing_restriction_keeps_the_coloops_in_any_insertion_order(backend, data):
+    ground = range(backend.size)
+    if isinstance(backend, DoubledMatroid):
+        n = backend.inner.size  # every inner element, only some of the twins
+        ground = [*range(n), *data.draw(st.sets(st.integers(n, 2 * n - 1)))]
+    order = data.draw(st.permutations(list(ground)))
+    view = MatroidView.full(backend)
+    grower = GrowingRestriction(view)
+    rank, coloops = 0, set()
+    for i, f in enumerate(order):
+        grew, merged = grower.add(f)
+        inserted = view.restrict(order[: i + 1])
+        new_rank = inserted.rank()
+        new_coloops = {e for e in inserted.active if inserted.delete(e).rank() < new_rank}
+        assert grower.coloops == new_coloops
+        assert grower.basis == builder_greedy(backend, order[: i + 1])
+        assert (grew, merged) == (new_rank > rank, bool(coloops - new_coloops))
+        rank, coloops = new_rank, new_coloops
+
+
 def stitch(domain: ParamInterval, parts: list[PWLFunction]) -> PWLFunction:
     """Join labeled functions whose domains tile ``domain``, left to right.
 
@@ -748,7 +780,7 @@ def windows_one_by_one(inst: MatroidInstance, candidates) -> Solution:
         lines = []
         for e in sorted(basis):
             replacement = view.replacement_element(basis, e, weight_at)
-            lines.append((e, plain - inst.weight_fn(e) + inst.weight_fn(replacement)))
+            lines.append((e, inst.basis_line(basis - {e} | {replacement})))
         outside = min(set(range(inst.m)) - basis, default=None)
         if outside is not None:
             lines.append((outside, plain))
