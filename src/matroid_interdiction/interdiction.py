@@ -14,10 +14,11 @@ assembler over artifacts that are built once per instance and passed down:
   absorption in growing restrictions, one :class:`.GrowingRestriction` per
   element) from the basis, found by one greedy run, and its replacement
   elements.  The basis and replacements carry over a candidate value that
-  holds a single crossing of the instance and cannot change them, so each
-  run of windows joined by such values is solved once, by one integer hull
-  pass over its removal lines; one :meth:`.PWLFunction.build` checks and
-  joins all the runs.
+  holds a single crossing of the instance and cannot change them, which at
+  most one swap test per affected member decides, so each run of windows
+  joined by such values is solved once, by one integer hull pass over its
+  removal lines; one :meth:`.PWLFunction.build` checks and joins all the
+  runs.
 
 :func:`solve_naive` and :func:`solve_intervals` compose them from an instance.
 Both refuse instances with coloops: interdicting such an element makes the
@@ -175,11 +176,16 @@ def naive_solution(inst: MatroidInstance, removal: dict[int, PWLFunction]) -> So
 
 @dataclass(frozen=True)
 class CandidateEntry:
-    """A crossing kept as a potential slope change, with the reasons why."""
+    """A crossing kept as a potential slope change, with the reasons why.
+
+    ``lone`` marks a crossing that no other crossing of the instance shares
+    its value with.
+    """
 
     point: EqualityPoint
     by_rank: bool
     by_singleton: bool
+    lone: bool
 
     @property
     def tags(self) -> str:
@@ -223,6 +229,8 @@ def find_candidates(
     element keeps a :class:`.GrowingRestriction`, seeded with its initial
     set in id order, whose ``add`` answers both.  Its coloops are the
     restriction's singleton components apart from loops, which never merge.
+    A kept crossing is marked ``lone`` when neither neighbour in the sorted
+    ``crossings`` has its value.
     """
     view = inst.view()
     m = inst.m
@@ -237,10 +245,13 @@ def find_candidates(
         for e in range(m)
     ]
     entries: list[CandidateEntry] = []
-    for pt in crossings:
+    last = len(crossings) - 1
+    for i, pt in enumerate(crossings):
         by_rank, by_singleton = growers[pt.lighter_before].add(pt.lighter_after)
         if by_rank or by_singleton:
-            entries.append(CandidateEntry(pt, by_rank, by_singleton))
+            lone = ((i == 0 or crossings[i - 1].lam != pt.lam)
+                    and (i == last or crossings[i + 1].lam != pt.lam))
+            entries.append(CandidateEntry(pt, by_rank, by_singleton, lone))
     return CandidateSet(tuple(entries))
 
 
@@ -263,17 +274,20 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
     value that can change neither (:func:`_carries_over`), so a run of
     windows joined by such values takes one greedy run, one replacement scan
     per member and one integer hull pass (:func:`.upper_hull`) over its
-    lines, kept as integer sums over :attr:`.MatroidInstance.scaled`.  Every
+    lines, kept as integer sums over :attr:`.MatroidInstance.scaled`; only
+    the hull's winners become :class:`.LinearFn` pieces.  Every
     run appends to the same cuts, pieces and labels, with the run's end as a
     cut, and one :meth:`.PWLFunction.build` on the instance interval checks
     every cut, seams included, and merges each seam across which neither the
     line nor the label changes.
     """
     view = checked_view(inst)
-    _, a, b = inst.scaled
-    groups = [(lam, list(group)) for lam, group in groupby(
+    scale, a, b = inst.scaled
+    # The first candidate entry at each candidate value, in order.
+    firsts = [next(group) for _, group in groupby(
         candidates.entries, key=lambda entry: entry.point.lam)]
-    bounds = [inst.interval.lo, *(extended(lam) for lam, _ in groups), inst.interval.hi]
+    bounds = [inst.interval.lo, *(extended(entry.point.lam) for entry in firsts),
+              inst.interval.hi]
     cuts: list[Fraction] = []
     pieces: list[LinearFn] = []
     labels: list[int] = []
@@ -286,22 +300,20 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
             weight_at = inst.weights_at(rep)
             replacements = {e: view.replacement_element(basis, e, weight_at)
                             for e in sorted(basis)}
-        if i < len(groups) and _carries_over(view, basis, replacements, groups[i], a, b):
+        if i < len(firsts) and _carries_over(view, basis, replacements, firsts[i]):
             continue
         sa, sb = inst.basis_sums(basis)
-        lines = [(sa - a[e] + a[r], sb - b[e] + b[r], e) for e, r in replacements.items()]
+        lines = [(sa - a[e] + a[r], sb - b[e] + b[r], e, None)
+                 for e, r in replacements.items()]
         # Removing any element outside the basis leaves the plain optimum;
         # the smallest such id stands for all of them in the hull's
         # tie-break, so labels match a sweep over every element.
         outside = next((x for x in range(inst.m) if x not in basis), None)
         if outside is not None:
-            lines.append((sa, sb, outside))
+            lines.append((sa, sb, outside, None))
         run_hi = hi.value if hi.is_finite else None
-        upper_hull(
-            [(la, lb, label, inst.sums_line((la, lb))) for la, lb, label in lines],
-            run_lo, run_hi, cuts, pieces, labels,
-        )
-        if i < len(groups):
+        upper_hull(lines, run_lo, run_hi, cuts, pieces, labels, scale)
+        if i < len(firsts):
             cuts.append(run_hi)
         run_lo, basis = run_hi, None
     return build_solution(inst, PWLFunction.build(inst.interval, cuts, pieces, labels))
@@ -311,33 +323,31 @@ def _carries_over(
     view: MatroidView,
     basis: frozenset[int],
     replacements: dict[int, int],
-    group: tuple[Fraction, list[CandidateEntry]],
-    a: Sequence[int],
-    b: Sequence[int],
+    first: CandidateEntry,
 ) -> bool:
     """Whether the basis and replacements left of a candidate value hold right of it.
 
-    Only a value with exactly one crossing e->f of the whole instance can
-    carry them: then the (weight, id) order just right of it is the order
-    just left of it with e and f swapped.  With ``lam = p/q`` the integer
-    keys ``a[x]*q + b[x]*p`` take ``m - 1`` distinct values exactly then,
-    and that crossing is the value's one entry; identical lines tie
-    everywhere, so their values never carry.  Swapping
-    adjacent e and f changes the greedy basis only when ``e`` is in it, ``f``
-    is not and ``basis - e + f`` is independent; with the basis kept, it
-    changes a member's replacement only when both are outside the basis and
-    that replacement was ``e``.
+    ``first`` is the value's first candidate entry.  Only a value with
+    exactly one crossing e->f of the whole instance can carry them, which
+    the entry's ``lone`` mark records: then the (weight, id) order just
+    right of it is the order just left of it with the neighbours e and f
+    swapped.  Identical lines never cross, and a twin of e or f would cross
+    the other at the same value, so such a value never carries.  Swapping
+    adjacent e and f changes the greedy basis only when ``e`` is in it,
+    ``f`` is not and ``basis - e + f`` is independent.  With the basis kept,
+    the non-basis order changes only when both are outside the basis, and
+    then only a member ``g`` whose replacement was ``e`` can switch, to
+    ``f``, exactly when ``basis - g + f`` is independent: one swap test per
+    such member.
     """
-    lam, entries = group
-    p, q = lam.numerator, lam.denominator
-    if len({a_x * q + b_x * p for a_x, b_x in zip(a, b)}) != len(a) - 1:
+    if not first.lone:
         return False
-    e, f = entries[0].point.lighter_before, entries[0].point.lighter_after
+    e, f = first.point.lighter_before, first.point.lighter_after
     if f in basis:
         return True
     if e in basis:
         return view.swap(basis, e, f) is None
-    return e not in replacements.values()
+    return all(view.swap(basis, g, f) is None for g, r in replacements.items() if r == e)
 
 
 def doubled_instance(inst: MatroidInstance) -> MatroidInstance:

@@ -248,14 +248,17 @@ def upper_hull(
     cuts: list[Fraction],
     pieces: list[LinearFn],
     labels: list[int],
+    scale: int,
 ):
     """Append the labeled upper envelope of lines on ``[lo, hi]`` to
     ``cuts``, ``pieces`` and ``labels``; None marks an unbounded end.
 
     Each line comes as ``(a, b, label, line)``: its intercept and slope as
-    integers over a scale shared by all of them.  Slopes are int keys,
-    crossings are compared by cross-multiplication, and only the crossings
-    strictly inside the window become ``Fraction`` cuts.
+    integers over ``scale``, shared by all of them, and its
+    :class:`LinearFn`, or None to build ``(a + lam*b) / scale`` only if the
+    line wins a piece.  Slopes are int keys, crossings are compared by
+    cross-multiplication, and only the crossings strictly inside the window
+    become ``Fraction`` cuts.
     """
     # For equal slopes only the highest intercept can ever win; among fully
     # identical lines the smallest label represents the tie.
@@ -292,8 +295,10 @@ def upper_hull(
         p, q = hi.numerator, hi.denominator
         last = sum(1 for num, den in crossings if num * q < p * den)
     cuts.extend(Fraction(num, den) for num, den in crossings[first:last])
-    for _, _, label, line in hull[first : last + 1]:
-        pieces.append(line)
+    for a, b, label, line in hull[first : last + 1]:
+        pieces.append(
+            line if line is not None else LinearFn(Fraction(a, scale), Fraction(b, scale))
+        )
         labels.append(label)
 
 
@@ -327,7 +332,7 @@ def envelope_of_lines(
     pieces: list[LinearFn] = []
     labels: list[int] = []
     scaled = [(*_scaled(line, scale), label, line) for label, line in lines]
-    upper_hull(scaled, lo, hi, cuts, pieces, labels)
+    upper_hull(scaled, lo, hi, cuts, pieces, labels, scale)
     return PWLFunction.build(window, cuts, pieces, labels)
 
 
@@ -376,10 +381,10 @@ def envelope_of_pwl(
     pieces: list[LinearFn] = []
     labels: list[int] = []
     for cut in sorted(owners):
-        upper_hull(current, lo, cut, cuts, pieces, labels)
+        upper_hull(current, lo, cut, cuts, pieces, labels, scale)
         cuts.append(cut)
         for j in owners[cut]:
             current[j] = next(steps[j])
         lo = cut
-    upper_hull(current, lo, hi, cuts, pieces, labels)
+    upper_hull(current, lo, hi, cuts, pieces, labels, scale)
     return PWLFunction.build(window, cuts, pieces, labels)

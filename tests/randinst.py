@@ -2,7 +2,8 @@
 
 Graphic instances are 2-edge-connected by construction (a Hamiltonian cycle
 plus random chords), so they never contain coloops; uniform instances keep
-k < m for the same reason.
+k < m for the same reason.  :func:`tangent_uniform` is a deterministic
+family whose crossings pile up on few values.
 """
 
 from __future__ import annotations
@@ -60,6 +61,17 @@ def random_uniform(
     return MatroidInstance(
         UniformMatroid(m, k), tuple(weights), ParamInterval.closed(*interval), name
     )
+
+
+def tangent_uniform(m: int, k: int, name="") -> MatroidInstance:
+    """U(k, m) with the lines ``w_t(lam) = t**2 - 2*t*lam``, t = 0..m-1, on [-1, m].
+
+    Each line is tangent to ``-lam**2`` at ``lam = t``, and lines t and s
+    cross at ``(t + s) / 2``: all m(m-1)/2 crossings lie inside the interval,
+    on only 2m - 3 distinct values.
+    """
+    weights = tuple(LinearFn(t * t, -2 * t) for t in range(m))
+    return MatroidInstance(UniformMatroid(m, k), weights, ParamInterval.closed(-1, m), name)
 
 
 def random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:

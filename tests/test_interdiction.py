@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from collections import Counter
@@ -27,8 +28,17 @@ from matroid_interdiction import (
 )
 
 from matroid_interdiction import interdiction, pwl
+from matroid_interdiction.instances import dump_solution
 from matroid_interdiction.parametric import interior_crossings
-from randinst import random_graphic, random_rational, random_uniform, sample_window
+from matroid_interdiction.rationals import extended
+from randinst import (
+    random_graphic,
+    random_rational,
+    random_uniform,
+    sample_window,
+    tangent_uniform,
+)
+from test_properties import window_states, windows_one_by_one
 
 
 class TestRemovalValueFunctions:
@@ -310,6 +320,53 @@ class TestWindowCarryOver:
         # One scan per basis member per run, not per window.
         assert scans == k * greedy < k * windows
 
+    def test_a_window_is_recomputed_exactly_when_its_basis_or_a_replacement_changes(
+        self, monkeypatch
+    ):
+        inst = random_graphic(random.Random(0), n_range=(8, 8), m_max=20, coeff=10**6)
+        candidates = find_candidates(inst, interior_crossings(inst))
+        # Generic: every candidate value holds one crossing, so every value
+        # whose state does not change can carry.
+        assert all(entry.lone for entry in candidates.entries)
+        states = window_states(inst, candidates)
+        changed = [i for i, (_, basis, replacements) in enumerate(states)
+                   if i == 0 or (basis, replacements) != states[i - 1][1:]]
+        # The wider rule is exercised: some value keeps a window running
+        # although its crossing's lighter-before element e is a replacement.
+        assert any(
+            entry.point.lighter_before in states[i][2].values()
+            and entry.point.lighter_after not in states[i][1]
+            for i, entry in enumerate(candidates.entries)
+            if i + 1 not in changed
+        )
+        starts = []
+        point = interdiction.interior_point
+
+        def recorded(lo, hi):
+            starts.append(lo)
+            return point(lo, hi)
+
+        monkeypatch.setattr(interdiction, "interior_point", recorded)
+        interdiction.window_solution(inst, candidates)
+        bounds = [inst.interval.lo, *map(extended, candidates.lambdas())]
+        assert starts == [bounds[i] for i in changed]
+        assert 1 < len(changed) < len(states)
+
+    def test_an_identical_pair_leaves_lone_values_carrying(self, monkeypatch):
+        generic = random_graphic(random.Random(0), n_range=(8, 8), m_max=20, coeff=10**6)
+        weights = list(generic.weights)
+        weights[1] = weights[0]
+        inst = MatroidInstance(generic.backend, tuple(weights), generic.interval, "")
+        windows, greedy, scans = self.window_work(monkeypatch, inst)
+        assert 0 < greedy < windows
+        assert scans == inst.rank() * greedy
+        candidates = find_candidates(inst, interior_crossings(inst))
+        dumped = [
+            json.dumps(dump_solution(inst, solve(inst, candidates), {}), sort_keys=True)
+            for solve in (interdiction.window_solution, windows_one_by_one)
+        ]
+        assert dumped[0] == dumped[1]
+
     @pytest.mark.parametrize("case", ["identical lines", "coincident crossings"])
     def test_tied_candidate_values_recompute_every_window(self, monkeypatch, case):
         if case == "identical lines":
@@ -328,6 +385,20 @@ class TestWindowCarryOver:
         assert windows > 1
         assert greedy == windows
         assert scans == inst.rank() * windows
+
+
+class TestTangentFamily:
+    """Lines tangent to a parabola: every pair crosses, on few values."""
+
+    def test_naive_and_intervals_write_the_same_solution(self):
+        inst = tangent_uniform(40, 8)
+        crossings = interior_crossings(inst)
+        assert len(crossings) == 780
+        assert len({pt.lam for pt in crossings}) == 77
+        assert len(find_candidates(inst, crossings)) <= 2 * inst.rank() * inst.m
+        dumped = [json.dumps(dump_solution(inst, solve(inst), {}), sort_keys=True)
+                  for solve in (solve_naive, solve_intervals)]
+        assert dumped[0] == dumped[1]
 
 
 class TestOneEnvelopeBuild:

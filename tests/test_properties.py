@@ -5,8 +5,9 @@ Small graphic, uniform and doubled instances with weight coefficients in
 crossings, parallel and identical weight lines are the common case, over
 bounded, half-bounded and unbounded intervals.  The three solvers must agree
 exactly, the integer order kernel must agree with ``Fraction`` arithmetic,
-the incremental candidate filter and the integer line envelope must agree
-with plain recomputations, and every ``check`` self-check must pass.  The
+the incremental candidate filter (its lone marks included) and the integer
+line envelope must agree with plain recomputations, and every ``check``
+self-check must pass.  The
 integer continuity check, crossing order and crossing grouping are also run
 on coefficients up to 2**80 with values 2**-70 apart, against ``Fraction``
 arithmetic, and the crossings at one value must share one ``Fraction``.  The
@@ -27,6 +28,7 @@ Examples are derandomized so every run checks the same instances.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby, product
 
@@ -229,8 +231,10 @@ def test_every_structural_check_passes(inst):
 
 
 def recomputed_candidates(inst: MatroidInstance, crossings) -> list[CandidateEntry]:
-    """The candidate filter with components and ranks recomputed per insertion."""
+    """The candidate filter with components and ranks recomputed per insertion,
+    and each crossing's lone mark from a count of the crossings per value."""
     view = inst.view()
+    per_value = Counter(pt.lam for pt in crossings)
     weight = inst.weights_at(start_representative(inst.interval, crossings))
     active = [
         {
@@ -257,8 +261,24 @@ def recomputed_candidates(inst: MatroidInstance, crossings) -> list[CandidateEnt
             for g in after.members[after.component_of(f)]
         )
         if by_rank or by_singleton:
-            out.append(CandidateEntry(pt, by_rank, by_singleton))
+            out.append(CandidateEntry(pt, by_rank, by_singleton, per_value[pt.lam] == 1))
     return out
+
+
+@st.composite
+def window_instances(draw) -> MatroidInstance:
+    """The solver inputs above, or their backends with coefficients in
+    -9..9, where most candidate values hold one crossing and windows carry
+    over, plus a few identical lines."""
+    inst = draw(instances())
+    if draw(st.booleans()):
+        coeff = st.integers(-9, 9)
+        lines = [LinearFn(draw(coeff), draw(coeff)) for _ in range(inst.m)]
+        element = st.integers(0, inst.m - 1)
+        for e, f in draw(st.lists(st.tuples(element, element), max_size=2)):
+            lines[e] = lines[f]
+        inst = MatroidInstance(inst.backend, tuple(lines), inst.interval, "")
+    return inst
 
 
 @settings(
@@ -270,6 +290,22 @@ def recomputed_candidates(inst: MatroidInstance, crossings) -> list[CandidateEnt
 )
 @given(instances(coloops_ok=True))
 def test_incremental_candidate_filter_matches_recomputed_components(inst):
+    crossings = interior_crossings(inst)
+    found = find_candidates(inst, crossings)
+    assert list(found.entries) == recomputed_candidates(inst, crossings)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(window_instances())
+def test_candidate_filter_matches_recomputed_components_on_lone_crossings(inst):
+    # Coefficients in -9..9 make most crossings lone, over bounded and
+    # unbounded intervals alike.
     crossings = interior_crossings(inst)
     found = find_candidates(inst, crossings)
     assert list(found.entries) == recomputed_candidates(inst, crossings)
@@ -765,43 +801,34 @@ def test_single_envelope_pass_is_the_per_window_composition(case):
     assert envelope_of_pwl(fs, window) == envelope_by_windows(fs, window)
 
 
-def windows_one_by_one(inst: MatroidInstance, candidates) -> Solution:
-    """The window solver without carry-over: one greedy run, k replacement
-    scans and one line envelope on every window between candidate values."""
+def window_states(inst: MatroidInstance, candidates):
+    """``(window, basis, replacements)`` of every window between candidate
+    values, each from its own greedy run and replacement scans."""
     view = checked_view(inst)
     bounds = [inst.interval.lo, *map(extended, candidates.lambdas()), inst.interval.hi]
-    parts = []
+    states = []
     for lo, hi in zip(bounds, bounds[1:]):
         window = ParamInterval(lo, hi)
         rep = window.representative()
         basis = view.greedy_min_basis(inst.order_at(rep))
         weight_at = inst.weights_at(rep)
-        plain = inst.basis_line(basis)
-        lines = []
-        for e in sorted(basis):
-            replacement = view.replacement_element(basis, e, weight_at)
-            lines.append((e, inst.basis_line(basis - {e} | {replacement})))
+        replacements = {e: view.replacement_element(basis, e, weight_at)
+                        for e in sorted(basis)}
+        states.append((window, basis, replacements))
+    return states
+
+
+def windows_one_by_one(inst: MatroidInstance, candidates) -> Solution:
+    """The window solver without carry-over: one greedy run, k replacement
+    scans and one line envelope on every window between candidate values."""
+    parts = []
+    for window, basis, replacements in window_states(inst, candidates):
+        lines = [(e, inst.basis_line(basis - {e} | {r})) for e, r in replacements.items()]
         outside = min(set(range(inst.m)) - basis, default=None)
         if outside is not None:
-            lines.append((outside, plain))
+            lines.append((outside, inst.basis_line(basis)))
         parts.append(envelope_of_lines(lines, window))
     return build_solution(inst, stitch(inst.interval, parts))
-
-
-@st.composite
-def window_instances(draw) -> MatroidInstance:
-    """The solver inputs above, or their backends with coefficients in
-    -9..9, where most candidate values hold one crossing and windows carry
-    over, plus a few identical lines."""
-    inst = draw(instances())
-    if draw(st.booleans()):
-        coeff = st.integers(-9, 9)
-        lines = [LinearFn(draw(coeff), draw(coeff)) for _ in range(inst.m)]
-        element = st.integers(0, inst.m - 1)
-        for e, f in draw(st.lists(st.tuples(element, element), max_size=2)):
-            lines[e] = lines[f]
-        inst = MatroidInstance(inst.backend, tuple(lines), inst.interval, "")
-    return inst
 
 
 @settings(
