@@ -4,11 +4,11 @@ Two exact routes to the optimal interdiction value function, each an
 assembler over artifacts that are built once per instance and passed down:
 
 * :func:`naive_solution` envelopes the :func:`removal_value_functions`, which
-  replay the plain schedule's walk over the crossings, maintaining the
-  optimum with each basis member deleted (every other deleted optimum is the
-  plain one).  A deleted basis is offered an exchange only if it holds the
-  crossing's lighter-before element and not the other, and its line is kept
-  as integer sums over the scaled weights until it becomes a piece.
+  replay the plain schedule's walk over the crossings, keeping the optimum
+  with each basis member deleted as the basis minus it plus its replacement
+  element (every other deleted optimum is the plain one).  Only a crossing
+  of two non-basis elements runs independence tests, one per member whose
+  replacement is the lighter-before one.
 * :func:`window_solution` solves each window between the crossings that
   :func:`find_candidates` keeps (rank growth or singleton-component
   absorption in growing restrictions, one :class:`.GrowingRestriction` per
@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .matroid import DoubledMatroid, GraphicMatroid, GrowingRestriction, MatroidView
 from .parametric import (
@@ -58,22 +58,23 @@ def removal_value_functions(
 ) -> dict[int, PWLFunction]:
     """For every element, the optimum of the instance with it removed.
 
-    The main basis comes from ``schedule``, the instance's
-    :func:`parametric_min_basis`.  Replaying its ``walk`` over the crossings,
-    in the same id-perturbed order, maintains the deleted optima of the basis
-    members.  Every crossing e->f, lone or part of a coincident bundle, is
-    handled as an isolated crossing of the perturbed instance: at most rank
-    swap tests run (one per maintained deleted basis containing e but not f,
-    on the full view), and when the main basis swaps (the schedule's swaps
-    come up in order, as each pair crosses once), e's deleted optimum becomes
-    the plain one and f's becomes the old basis.  Changes at one parameter
-    value collapse into the last one.  Each basis's line is kept as integer
-    sums over :attr:`MatroidInstance.scaled`, moved by one difference per
-    swap (see :meth:`.MatroidInstance.basis_sums`), and becomes a
-    :class:`LinearFn` once per piece of the result.
-    Elements outside the optimal basis share the undeleted optimum, so their
-    functions are the plain value function itself.  The schedule refuses
-    coloops; this refuses rank 0.
+    The optimum without a member ``g`` of the main basis ``B`` is
+    ``B - g + r[g]``, ``r[g]`` its cheapest replacement element.  One
+    :meth:`.MatroidView.replacement_element` scan per member seeds ``r`` at
+    the start, and replaying the ``walk`` of ``schedule`` (the instance's
+    :func:`parametric_min_basis`), each crossing e->f an isolated crossing
+    of the id-perturbed instance, updates it:
+
+    * at the schedule's next swap, e follows the plain optimum, ``r[f] = e``,
+      members with ``r[g] == f`` take e and keep their line, and every other
+      line moves with the main one, without an independence test;
+    * with e and f outside ``B``, each member with ``r[g] == e`` takes one
+      swap test (:func:`_yielding_to`);
+    * no other crossing changes anything.
+
+    Changes at one value collapse into the last one.  Lines stay integer
+    sums over :attr:`MatroidInstance.scaled` until they become pieces, and
+    non-members share the plain value function.  Refuses coloops and rank 0.
     """
     basis = schedule.bases[0]
     if not basis:
@@ -81,12 +82,15 @@ def removal_value_functions(
     view = inst.view()
     _, a, b = inst.scaled
     order = inst.order_at(start_representative(inst.interval, schedule.points))
-    deleted_bases = {g: view.delete(g).greedy_min_basis(order) for g in basis}
-    sums = {g: inst.basis_sums(bg) for g, bg in deleted_bases.items()}
+    replacement = {g: view.replacement_element(basis, g, order) for g in sorted(basis)}
     main_sums = inst.basis_sums(basis)
 
+    def member_line(g: int) -> BasisSums:
+        r = replacement[g]
+        return main_sums[0] - a[g] + a[r], main_sums[1] - b[g] + b[r]
+
     own_transitions: dict[int, list[tuple[Fraction | None, BasisSums | None]]] = {
-        e: [(None, sums[e] if e in basis else _FOLLOWS_MAIN)] for e in range(inst.m)
+        e: [(None, member_line(e) if e in basis else _FOLLOWS_MAIN)] for e in range(inst.m)
     }
 
     def record_own(e: int, lam: Fraction, line: BasisSums | None):
@@ -95,37 +99,30 @@ def removal_value_functions(
             transitions.pop()  # a zero-width span inside a bundle
         transitions.append((lam, line))
 
-    main_swaps = zip(schedule.swaps, schedule.bases)
-    main_swap, old_basis = next(main_swaps, (None, None))
+    main_swaps = zip(schedule.swaps, schedule.bases[1:])
+    main_swap, next_basis = next(main_swaps, (None, None))
     for pt in schedule.walk:
         e, f, lam = pt.lighter_before, pt.lighter_after, pt.lam
-        for g, basis_g in deleted_bases.items():
-            if e in basis_g and f not in basis_g and g != f:
-                swapped = view.swap(basis_g, e, f)
-                if swapped is not None:
-                    deleted_bases[g] = swapped
-                    sa, sb = sums[g]
-                    sums[g] = line = (sa + a[f] - a[e], sb + b[f] - b[e])
-                    record_own(g, lam, line)
         if (e, f) == main_swap:
-            # e leaves: its deleted optimum now coincides with the plain
-            # optimum; f enters: its deleted optimum is the old basis.
-            del deleted_bases[e], sums[e]
+            del replacement[e]
             record_own(e, lam, _FOLLOWS_MAIN)
-            deleted_bases[f], sums[f] = old_basis, main_sums
-            record_own(f, lam, main_sums)
-            sa, sb = main_sums
-            main_sums = (sa + a[f] - a[e], sb + b[f] - b[e])
-            main_swap, old_basis = next(main_swaps, (None, None))
+            replacement[f] = e
+            main_sums = (main_sums[0] + a[f] - a[e], main_sums[1] + b[f] - b[e])
+            for g, r in replacement.items():
+                if r == f:
+                    replacement[g] = e  # B - g + f is still the optimum without g
+                else:
+                    record_own(g, lam, member_line(g))
+            basis = next_basis
+            main_swap, next_basis = next(main_swaps, (None, None))
+        elif e not in basis and f not in basis:
+            for g in list(_yielding_to(view, basis, replacement, e, f)):
+                replacement[g] = f
+                record_own(g, lam, member_line(g))
 
-    out: dict[int, PWLFunction] = {}
-    for e in range(inst.m):
-        transitions = own_transitions[e]
-        if all(line is _FOLLOWS_MAIN for _, line in transitions):
-            out[e] = schedule.value
-        else:
-            out[e] = _assemble(inst, transitions, schedule.value)
-    return out
+    return {e: schedule.value if all(line is _FOLLOWS_MAIN for _, line in transitions)
+            else _assemble(inst, transitions, schedule.value)
+            for e, transitions in own_transitions.items()}
 
 
 def _assemble(
@@ -329,25 +326,28 @@ def _carries_over(
 
     ``first`` is the value's first candidate entry.  Only a value with
     exactly one crossing e->f of the whole instance can carry them, which
-    the entry's ``lone`` mark records: then the (weight, id) order just
-    right of it is the order just left of it with the neighbours e and f
-    swapped.  Identical lines never cross, and a twin of e or f would cross
-    the other at the same value, so such a value never carries.  Swapping
-    adjacent e and f changes the greedy basis only when ``e`` is in it,
-    ``f`` is not and ``basis - e + f`` is independent.  With the basis kept,
-    the non-basis order changes only when both are outside the basis, and
-    then only a member ``g`` whose replacement was ``e`` can switch, to
-    ``f``, exactly when ``basis - g + f`` is independent: one swap test per
-    such member.
+    the entry's ``lone`` mark records (identical lines never cross, and a
+    twin of e or f would cross the other at the same value): then the
+    (weight, id) order right of it is the order left of it with e and f
+    swapped.  That changes the basis only if :meth:`.MatroidView.swap`
+    exchanges e for f, and with both outside it, only the replacements of
+    the members that :func:`_yielding_to` names.
     """
     if not first.lone:
         return False
     e, f = first.point.lighter_before, first.point.lighter_after
-    if f in basis:
-        return True
-    if e in basis:
+    if e in basis or f in basis:
         return view.swap(basis, e, f) is None
-    return all(view.swap(basis, g, f) is None for g, r in replacements.items() if r == e)
+    return next(_yielding_to(view, basis, replacements, e, f), None) is None
+
+
+def _yielding_to(
+    view: MatroidView, basis: frozenset[int], replacements: dict[int, int], e: int, f: int
+) -> Iterator[int]:
+    """At a crossing e->f outside ``basis``, the members whose replacement e
+    yields to f, lazily: those holding e, with ``basis - g + f`` independent."""
+    return (g for g, r in replacements.items()
+            if r == e and view.swap(basis, g, f) is not None)
 
 
 def doubled_instance(inst: MatroidInstance) -> MatroidInstance:

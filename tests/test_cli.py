@@ -625,18 +625,20 @@ class TestOneParserPerProcess:
         dimacs = tmp_path / "tri.dimacs"
         dimacs.write_text("p edge 3 3\ne 1 2 1 0\ne 2 3 2 0\ne 1 3 0 1\n")
         plot, sol = tmp_path / "plot.csv", tmp_path / "sol.json"
+        fixture = Path(__file__).resolve().parents[1] / "fixtures" / "C4P.json"
         calls = [
             (["plot", "--in", src, "--samples", "3", "--out", str(plot)], plot),
             (["plot", "--in", src, "--out", str(plot)], plot),
             (["solve", "--in", str(dimacs), "--interval", "-5:5", "--out", str(sol)], sol),
             (["--help"], None),
             (["solve", "--in", src, "--out", str(sol)], sol),
+            (["solve", "--in", str(fixture), "--out", str(sol)], sol),
         ]
 
         def outcome(code, stdout, stderr, path):
             written = None
             if path is not None and path.exists():
-                written = path.read_text()
+                written = path.read_bytes()
                 path.unlink()
             last = [text.splitlines()[-1] if text else "" for text in (stdout, stderr)]
             return code, *last, written
@@ -657,9 +659,9 @@ class TestOneParserPerProcess:
             )
             fresh.append(outcome(proc.returncode, proc.stdout, proc.stderr, path))
         assert in_process == fresh
-        assert [code for code, *_ in in_process] == [0, 0, 1, 0, 0]
+        assert [code for code, *_ in in_process] == [0, 0, 1, 0, 0, 0]
         # 3 and then 16 samples, plus the cut at 1/2: --samples did not carry over
-        assert [written.count("\n") - 1 for *_, written in in_process[:2]] == [5, 18]
+        assert [written.count(b"\n") - 1 for *_, written in in_process[:2]] == [5, 18]
 
 
 class TestOverfullWindow:

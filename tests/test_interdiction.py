@@ -74,7 +74,8 @@ class TestRemovalValueFunctions:
 
     def test_bundles_cost_one_greedy_check_each(self, monkeypatch):
         # Coincident crossings take the lone-crossing path: one greedy run for
-        # the start basis, one per deleted basis, one check per bundle.
+        # the start basis and one check per bundle, all on the full view.  The
+        # removal sweep runs none: it starts from replacement scans.
         inst = random_graphic(random.Random(109), n_range=(6, 6), m_max=12, coeff=2)
         greedy = MatroidView.greedy_min_basis
         calls = []
@@ -88,7 +89,8 @@ class TestRemovalValueFunctions:
         per_value = Counter(pt.lam for pt in all_equality_points(inst))
         bundles = sum(1 for count in per_value.values() if count > 1)
         assert bundles > 0
-        assert len(calls) <= 1 + inst.rank() + bundles
+        assert len(calls) == 1 + bundles
+        assert all(view.active == inst.view().active for view in calls)
 
     def test_matches_per_point_bruteforce(self):
         rng = random.Random(71)

@@ -21,9 +21,11 @@ multigraphs with loops and parallel edges and of uniform and doubled
 backends, the coloops, basis and flags of a restriction grown in any order
 against the same definition and a fresh builder run, the single-pass
 envelope of piecewise-linear functions against line envelopes per window
-joined by :func:`stitch`, and the window solver, which carries a basis across
+joined by :func:`stitch`, the window solver, which carries a basis across
 candidate values and builds one envelope, against one greedy run and one line
-envelope per window, joined the same way.
+envelope per window, joined the same way, and the removal sweep, which keeps
+one replacement per basis member, against the sweep over k deleted bases that
+it replaced, on multigraphs, uniform instances up to k = m - 1 and doubles.
 Examples are derandomized so every run checks the same instances.
 """
 
@@ -45,22 +47,32 @@ from matroid_interdiction import (
     ParamInterval,
     PWLFunction,
     UniformMatroid,
+    doubled_graphic_instance,
     doubled_instance,
     envelope_of_lines,
     envelope_of_pwl,
     equality_point,
     find_candidates,
     parametric_min_basis,
+    removal_value_functions,
     solve_bruteforce,
     solve_intervals,
     solve_naive,
 )
 from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.instances import dump_solution
-from matroid_interdiction.interdiction import CandidateEntry, window_solution
+from matroid_interdiction.interdiction import (
+    _FOLLOWS_MAIN,
+    CandidateEntry,
+    _assemble,
+    window_solution,
+)
 from matroid_interdiction.matroid import DoubledMatroid, GrowingRestriction
 from matroid_interdiction.pwl import PWLError
 from matroid_interdiction.parametric import (
+    RANK_ZERO,
+    BasisSchedule,
+    BasisSums,
     checked_view,
     group_by_lambda,
     interior_crossings,
@@ -545,7 +557,7 @@ def test_bundle_order_is_the_perturbed_crossing_order(case):
 def test_swap_is_one_independence_test(inst, data):
     view = inst.view()
     rank_of = data.draw(st.permutations(range(inst.m)))
-    # A basis of the full view, or of a deleted view as in the removal sweep.
+    # A basis of the full view, or of a deleted view, as in the oracle.
     deleted = data.draw(st.one_of(st.none(), st.integers(0, inst.m - 1)))
     source = view if deleted is None else view.delete(deleted)
     basis = source.greedy_min_basis(rank_of.__getitem__)
@@ -846,3 +858,105 @@ def test_window_carry_over_matches_one_run_per_window(inst):
         for solve in (window_solution, windows_one_by_one)
     ]
     assert dumped[0] == dumped[1]
+
+
+def deleted_bases_sweep(
+    inst: MatroidInstance, schedule: BasisSchedule
+) -> dict[int, PWLFunction]:
+    """The removal sweep as it was before it kept one replacement per member:
+    one deleted basis per member, from a greedy run on the deleted view, each
+    offered the exchange at every crossing it holds e but not f of."""
+    basis = schedule.bases[0]
+    if not basis:
+        raise ValueError(RANK_ZERO)
+    view = inst.view()
+    _, a, b = inst.scaled
+    order = inst.order_at(start_representative(inst.interval, schedule.points))
+    deleted_bases = {g: view.delete(g).greedy_min_basis(order) for g in basis}
+    sums = {g: inst.basis_sums(bg) for g, bg in deleted_bases.items()}
+    main_sums = inst.basis_sums(basis)
+
+    own_transitions: dict[int, list[tuple[Fraction | None, BasisSums | None]]] = {
+        e: [(None, sums[e] if e in basis else _FOLLOWS_MAIN)] for e in range(inst.m)
+    }
+
+    def record_own(e: int, lam: Fraction, line: BasisSums | None):
+        transitions = own_transitions[e]
+        if transitions[-1][0] == lam:
+            transitions.pop()  # a zero-width span inside a bundle
+        transitions.append((lam, line))
+
+    main_swaps = zip(schedule.swaps, schedule.bases)
+    main_swap, old_basis = next(main_swaps, (None, None))
+    for pt in schedule.walk:
+        e, f, lam = pt.lighter_before, pt.lighter_after, pt.lam
+        for g, basis_g in deleted_bases.items():
+            if e in basis_g and f not in basis_g and g != f:
+                swapped = view.swap(basis_g, e, f)
+                if swapped is not None:
+                    deleted_bases[g] = swapped
+                    sa, sb = sums[g]
+                    sums[g] = line = (sa + a[f] - a[e], sb + b[f] - b[e])
+                    record_own(g, lam, line)
+        if (e, f) == main_swap:
+            # e leaves: its deleted optimum now coincides with the plain
+            # optimum; f enters: its deleted optimum is the old basis.
+            del deleted_bases[e], sums[e]
+            record_own(e, lam, _FOLLOWS_MAIN)
+            deleted_bases[f], sums[f] = old_basis, main_sums
+            record_own(f, lam, main_sums)
+            sa, sb = main_sums
+            main_sums = (sa + a[f] - a[e], sb + b[f] - b[e])
+            main_swap, old_basis = next(main_swaps, (None, None))
+
+    out: dict[int, PWLFunction] = {}
+    for e in range(inst.m):
+        transitions = own_transitions[e]
+        if all(line is _FOLLOWS_MAIN for _, line in transitions):
+            out[e] = schedule.value
+        else:
+            out[e] = _assemble(inst, transitions, schedule.value)
+    return out
+
+
+@st.composite
+def removal_instances(draw) -> MatroidInstance:
+    """Tie-heavy multigraphs with loops and parallel edges, uniform
+    instances up to k = m - 1, and their doubles, by the twin backend or, for
+    graphic ones, by parallel edges."""
+    kind = draw(st.sampled_from(
+        ["graphic", "uniform", "uniform-top", "doubled", "doubled-graphic"]))
+    if kind == "graphic":
+        backend = draw(graphic_backends(8, bridges_ok=False))
+    elif kind == "uniform":
+        backend = draw(uniform_backends(7, coloops_ok=False))
+    elif kind == "uniform-top":
+        m = draw(st.integers(2, 7))
+        backend = UniformMatroid(m, m - 1)
+    elif kind == "doubled":
+        backend = draw(st.one_of(graphic_backends(5, bridges_ok=True),
+                                 uniform_backends(4, coloops_ok=True)))
+    else:
+        backend = draw(graphic_backends(5, bridges_ok=True))
+    inst = MatroidInstance(backend, draw(weight_lines(backend.size)), draw(INTERVALS), "")
+    if kind == "doubled":
+        return doubled_instance(inst)
+    return doubled_graphic_instance(inst) if kind == "doubled-graphic" else inst
+
+
+@settings(
+    derandomize=True,
+    max_examples=500,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(removal_instances())
+def test_replacement_sweep_matches_the_deleted_bases_sweep(inst):
+    schedule = parametric_min_basis(inst)
+    # The same cuts, pieces and shared plain-value objects for every element.
+    expected = deleted_bases_sweep(inst, schedule)
+    found = removal_value_functions(inst, schedule)
+    assert found == expected
+    assert all((found[e] is schedule.value) == (expected[e] is schedule.value)
+               for e in range(inst.m))
