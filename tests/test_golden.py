@@ -1,8 +1,9 @@
 """Golden CLI outputs for every instance under ``fixtures/``.
 
 ``golden_fixtures.json`` pins, for each fixture, the exit code, stdout,
-stderr and written file of ``solve`` with each algorithm, ``candidates`` and
-``check``.  The ``--out`` path reads as ``<out>``.  Regenerate the data with
+stderr and written file of ``solve`` with each algorithm, ``plot``,
+``double``, ``candidates`` and ``check``.  The ``--out`` path reads as
+``<out>``.  Regenerate the data with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,16 +27,19 @@ COMMANDS = {
     "solve naive": ["solve", "--algorithm", "naive"],
     "solve intervals": ["solve", "--algorithm", "intervals"],
     "solve oracle": ["solve", "--algorithm", "oracle"],
+    "plot": ["plot"],
+    "double": ["double"],
     "candidates": ["candidates"],
     "check": ["check"],
 }
+WRITERS = ("solve", "plot", "double")
 
 
 def run(fixture: str, command: str, workdir: Path) -> dict:
     """One CLI call as a fresh process would show it."""
     out = workdir / "out"
     argv = COMMANDS[command] + ["--in", str(ROOT / "fixtures" / fixture)]
-    if command.startswith("solve"):
+    if command.startswith(WRITERS):
         argv += ["--out", str(out)]
     stdout, stderr = StringIO(), StringIO()
     # The suite ignores the tie warning; restore Python's default here.
