@@ -46,7 +46,7 @@ from .oracle import compare, interdict_at, solve_bruteforce
 from .parametric import CoincidentEqualityPointsWarning, MatroidInstance
 from .parametric import interior_crossings, parametric_min_basis
 from .pwl import pwl_equal
-from .rationals import ParamInterval, extended, format_rational
+from .rationals import ParamInterval, extended
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -274,8 +274,7 @@ def cmd_plot(args) -> int:
             vital = solution.most_vital_at(lam)
             decimal = f"{float(y):.12f}"
             handle.write(
-                f"{format_rational(lam)},{format_rational(y)},"
-                f"{format_rational(w)},e{vital},{decimal}\n"
+                f"{lam!s},{y!s},{w!s},e{vital},{decimal}\n"
             )
     print(f"wrote {args.outfile}: {len(rows)} row(s)")
     return EXIT_OK
@@ -299,8 +298,7 @@ def cmd_candidates(args) -> int:
     for entry in candidates.entries:
         pt = entry.point
         print(
-            f"{format_rational(pt.lam)}\t"
-            f"e{pt.lighter_before}->e{pt.lighter_after}\t{entry.tags}"
+            f"{pt.lam!s}\te{pt.lighter_before}->e{pt.lighter_after}\t{entry.tags}"
         )
     print(f"total: {len(candidates)} (bound 2km = {2 * inst.rank() * inst.m})")
     return EXIT_OK

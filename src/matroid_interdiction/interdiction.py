@@ -171,7 +171,7 @@ def naive_solution(inst: MatroidInstance, removal: dict[int, PWLFunction]) -> So
     return build_solution(inst, labeled)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateEntry:
     """A crossing kept as a potential slope change, with the reasons why.
 

@@ -312,9 +312,6 @@ class MatroidView:
     def ground(self) -> list[int]:
         return sorted(self.active)
 
-    def __contains__(self, e: int) -> bool:
-        return e in self.active
-
     def is_independent(self, subset: Collection[int]) -> bool:
         """Independence test of distinct elements; the caller guarantees
         ``subset`` is active."""

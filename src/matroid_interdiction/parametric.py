@@ -232,16 +232,6 @@ def start_representative(
     return interval.representative()
 
 
-@dataclass(frozen=True)
-class SwapRecord:
-    """One applied basis exchange: ``out`` leaves, ``in_`` enters, at ``lam``."""
-
-    lam: Fraction
-    out: int
-    in_: int
-    basis: frozenset[int]
-
-
 def perturbed_bundle_order(
     group: Sequence[EqualityPoint], slopes: Sequence[int]
 ) -> list[EqualityPoint]:
@@ -273,7 +263,7 @@ def advance_min_basis(
     group: Sequence[EqualityPoint],
     right_rep: Fraction | None,
     order_at: Callable[[Fraction], Callable[[int], int]],
-) -> tuple[frozenset[int], list[SwapRecord]]:
+) -> tuple[frozenset[int], list[tuple[int, int, frozenset[int]]]]:
     """Advance the minimum basis across one crossing value.
 
     ``group`` holds every crossing at that value, in the order they are
@@ -282,15 +272,16 @@ def advance_min_basis(
     instance.  A lone crossing needs a single independence test.  A bundle's
     result is verified against a fresh greedy run at ``right_rep``, a point
     just right of the bundle, as a hard internal invariant.  Lone crossings
-    never read ``right_rep``, so callers may pass None for them.
+    never read ``right_rep``, so callers may pass None for them.  Returns the
+    basis after the value and each applied exchange as ``(out, in_, after)``.
     """
-    records: list[SwapRecord] = []
+    swaps: list[tuple[int, int, frozenset[int]]] = []
     for pt in group:
         e, f = pt.lighter_before, pt.lighter_after
         swapped = view.swap(basis, e, f)
         if swapped is not None:
             basis = swapped
-            records.append(SwapRecord(pt.lam, e, f, basis))
+            swaps.append((e, f, basis))
     if len(group) > 1:
         fresh = view.greedy_min_basis(order_at(right_rep))
         if fresh != basis:
@@ -298,7 +289,7 @@ def advance_min_basis(
                 f"bundle at {group[0].lam}: perturbed-order swaps ended at "
                 f"{sorted(basis)} but the optimum is {sorted(fresh)}"
             )
-    return basis, records
+    return basis, swaps
 
 
 @dataclass(frozen=True)
@@ -351,11 +342,11 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
             right_rep = interior_point(extended(lam), right_end)
         group = perturbed_bundle_order(group, inst.scaled.b)
         walk += group
-        basis, records = advance_min_basis(view, basis, group, right_rep, inst.order_at)
-        for rec in records:
-            cuts.append(rec.lam)
-            bases.append(rec.basis)
-            swaps.append((rec.out, rec.in_))
+        basis, applied = advance_min_basis(view, basis, group, right_rep, inst.order_at)
+        for out, in_, after in applied:
+            cuts.append(lam)
+            bases.append(after)
+            swaps.append((out, in_))
 
     value = _schedule_value(inst, cuts, bases)
     slopes = [p.b for p in value.pieces]

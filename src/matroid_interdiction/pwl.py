@@ -57,7 +57,7 @@ class LinearFn:
         return f"{self.a} + {self.b}*lam"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EqualityPoint:
     """The directed crossing of two weight lines.
 

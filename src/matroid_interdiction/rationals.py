@@ -6,9 +6,11 @@ sweep compares weights as integers scaled by a common denominator (see
 are rejected at every parsing boundary: breakpoint positions and tie decisions
 are rationally defined, and a single rounded comparison could reorder two
 nearly coincident crossing points.  Interval endpoints may additionally be
-+-infinity, modelled by :class:`ExtendedRational`.
++-infinity, modelled by :class:`ExtendedRational`, which is ordered as the
+pair ``(sign, value)``.
 
-All types here are immutable values; they can be shared freely across threads.
+All types here are frozen dataclasses, so equality, hashing and order come
+from their fields; they can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -46,30 +48,23 @@ def rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as ``p/q``, omitting the denominator when it is 1."""
-    return str(value)
-
-
+@dataclass(frozen=True, order=True, slots=True)
 class ExtendedRational:
     """A rational extended with two infinities, under a total order.
 
-    ``NEG_INF < every finite value < POS_INF``.  Instances are immutable and
-    hashable; finite ones wrap a Fraction.
+    The order is that of ``(sign, value)``: the sign decides whenever an end
+    is infinite, so ``NEG_INF < every finite value < POS_INF`` and ``None``
+    is never compared.  Finite ones wrap a Fraction.
     """
 
-    __slots__ = ("_sign", "_value")
+    _sign: int
+    _value: Fraction | None
 
-    def __init__(self, sign: int, value: Fraction | None):
-        if sign not in (-1, 0, 1):
+    def __post_init__(self):
+        if self._sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if (sign == 0) != (value is not None):
+        if (self._sign == 0) != (self._value is not None):
             raise ValueError("finite iff a value is present")
-        object.__setattr__(self, "_sign", sign)
-        object.__setattr__(self, "_value", value)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("ExtendedRational is immutable")
 
     @classmethod
     def finite(cls, value: RationalLike) -> "ExtendedRational":
@@ -84,29 +79,6 @@ class ExtendedRational:
         if self._value is None:
             raise ValueError("infinite endpoint has no finite value")
         return self._value
-
-    def _key(self):
-        return (self._sign, self._value if self._value is not None else Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtendedRational):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other: "ExtendedRational") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "ExtendedRational") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "ExtendedRational") -> bool:
-        return other < self
-
-    def __ge__(self, other: "ExtendedRational") -> bool:
-        return other <= self
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"ExtendedRational({self})"
@@ -189,10 +161,6 @@ class ParamInterval:
         return f"{left}{self.lo}, {self.hi}{right}"
 
 
-def midpoint(a: Fraction, b: Fraction) -> Fraction:
-    return (a + b) / 2
-
-
 def interior_point(lo: ExtendedRational, hi: ExtendedRational) -> Fraction:
     """Canonical interior point of ``(lo, hi)``.
 
@@ -203,7 +171,7 @@ def interior_point(lo: ExtendedRational, hi: ExtendedRational) -> Fraction:
     if not (lo < hi):
         raise ValueError(f"degenerate window: ({lo}, {hi})")
     if lo.is_finite and hi.is_finite:
-        return midpoint(lo.value, hi.value)
+        return (lo.value + hi.value) / 2
     if lo.is_finite:
         return lo.value + 1
     if hi.is_finite:

@@ -8,7 +8,6 @@ from matroid_interdiction.rationals import (
     ExtendedRational,
     ParamInterval,
     extended,
-    format_rational,
     interior_point,
     rational,
 )
@@ -34,11 +33,6 @@ def test_rational_parsing_rejects_floats_and_bools():
         rational(True)
 
 
-def test_format_omits_unit_denominator():
-    assert format_rational(Fraction(3, 2)) == "3/2"
-    assert format_rational(Fraction(-4, 2)) == "-2"
-
-
 def test_extended_total_order():
     vals = [NEG_INF, ExtendedRational.finite(-100), ExtendedRational.finite(0),
             ExtendedRational.finite("5/2"), POS_INF]
@@ -46,6 +40,32 @@ def test_extended_total_order():
         for j, b in enumerate(vals):
             assert (a < b) == (i < j)
             assert (a == b) == (i == j)
+
+
+def test_equal_finite_ends_hash_equal():
+    half, other = extended("1/2"), ExtendedRational.finite("2/4")
+    assert half == other and hash(half) == hash(other)
+    assert len({half, other}) == 1
+
+
+def test_infinities_are_equal_hashable_and_reflexive():
+    assert len({NEG_INF, extended("-inf")}) == 1
+    for inf in (NEG_INF, POS_INF):
+        assert inf <= inf and inf >= inf
+        assert not (inf < inf or inf > inf)
+
+
+def test_extended_is_immutable():
+    end = extended(1)
+    with pytest.raises(AttributeError):
+        end._value = Fraction(2)
+    assert end == extended(1)
+
+
+@pytest.mark.parametrize("sign, value", [(2, None), (0, None), (1, Fraction(1))])
+def test_extended_rejects_inconsistent_fields(sign, value):
+    with pytest.raises(ValueError):
+        ExtendedRational(sign, value)
 
 
 def test_extended_parse_and_str():
