@@ -227,7 +227,8 @@ def find_candidates(
     set in id order, whose ``add`` answers both.  Its coloops are the
     restriction's singleton components apart from loops, which never merge.
     A kept crossing is marked ``lone`` when neither neighbour in the sorted
-    ``crossings`` has its value.
+    ``crossings`` has its value, compared as integer ``(numerator,
+    denominator)`` pairs (``as_integer_ratio``) as in :func:`.group_by_lambda`.
     """
     view = inst.view()
     m = inst.m
@@ -246,8 +247,9 @@ def find_candidates(
     for i, pt in enumerate(crossings):
         by_rank, by_singleton = growers[pt.lighter_before].add(pt.lighter_after)
         if by_rank or by_singleton:
-            lone = ((i == 0 or crossings[i - 1].lam != pt.lam)
-                    and (i == last or crossings[i + 1].lam != pt.lam))
+            value = pt.lam.as_integer_ratio()
+            lone = ((i == 0 or crossings[i - 1].lam.as_integer_ratio() != value)
+                    and (i == last or crossings[i + 1].lam.as_integer_ratio() != value))
             entries.append(CandidateEntry(pt, by_rank, by_singleton, lone))
     return CandidateSet(tuple(entries))
 

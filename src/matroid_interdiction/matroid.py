@@ -298,12 +298,6 @@ class MatroidView:
     def full(backend: Backend) -> "MatroidView":
         return MatroidView(backend, frozenset(range(backend.size)))
 
-    def restrict(self, subset: Iterable[int]) -> "MatroidView":
-        sub = frozenset(subset)
-        if not sub <= self.active:
-            raise ValueError("restriction must stay inside the active set")
-        return MatroidView(self.backend, sub)
-
     def delete(self, e: int) -> "MatroidView":
         if e not in self.active:
             raise ValueError(f"e{e} is not active")

@@ -18,9 +18,12 @@ degenerate bundle can never silently corrupt the schedule.
 Orders, crossings and basis lines are computed on the instance's weight lines
 scaled to integers (:meth:`MatroidInstance.order_at`,
 :meth:`MatroidInstance.basis_sums`), and the crossings are
-filtered and sorted by integer keys (:func:`interior_crossings`); ``Fraction``
-appears only where a value leaves the sweep: crossing positions, the
-representative points that verify bundles, and value lines.
+filtered and sorted by exact integer keys (:func:`interior_crossings`);
+``Fraction`` appears only where a value leaves the sweep: crossing positions,
+the representative points that verify bundles, and value lines.  The value
+function is built once, from the lines the sweep records as it walks: the
+start basis's line and, after each crossing value that changed the basis,
+the new basis's line.
 """
 
 from __future__ import annotations
@@ -157,14 +160,15 @@ def interior_crossings(inst: MatroidInstance) -> list[EqualityPoint]:
 
     Everything before the output is integer arithmetic on the scaled lines:
     a crossing ``num/den`` (``den > 0``) is tested against the interval by
-    cross-multiplication and sorted by ``((num << 64) // den, e, f)``.  That
-    key is floor(value * 2**64), which never decreases as the value grows, so
-    the order is exact unless one key holds two different values; only then
-    are the crossings sorted again by the exact ``Fraction`` key.  Equal
-    values are then adjacent, and all crossings at one value share one
-    ``Fraction`` object, built when ``n1*d2 != n2*d1`` says the value changed.
+    cross-multiplication and sorted by ``((num << s) // den, e, f)``, the
+    floor of value * 2**s, with ``s`` twice the bit length of the slope
+    spread ``D = max(b) - min(b)``.  That key is exact: ``den <= D``, so two
+    different values differ by at least ``1/D**2 > 2**-s`` and get different
+    keys, and equal keys mean equal values.  All crossings at one value share
+    one ``Fraction`` object, built when the key changes.
     """
     _, a, b = inst.scaled
+    shift = 2 * (max(b, default=0) - min(b, default=0)).bit_length()
     # (p, q) of each finite end of the interval; q = 0 marks an infinite end.
     lo, hi = inst.interval.lo, inst.interval.hi
     lo_p, lo_q = (lo.value.numerator, lo.value.denominator) if lo.is_finite else (0, 0)
@@ -180,18 +184,13 @@ def interior_crossings(inst: MatroidInstance) -> list[EqualityPoint]:
             continue  # parallel lines never cross
         if (lo_q and num * lo_q <= lo_p * den) or (hi_q and num * hi_q >= hi_p * den):
             continue
-        found.append(((num << 64) // den, e, f, num, den))
+        found.append(((num << shift) // den, e, f, num, den))
     found.sort()
-    if any(
-        k1 == k2 and n1 * d2 != n2 * d1
-        for (k1, _, _, n1, d1), (k2, _, _, n2, d2) in zip(found, found[1:])
-    ):
-        found.sort(key=lambda t: (Fraction(t[3], t[4]), t[1], t[2]))
     points = []
-    lam = n0 = d0 = None
-    for _, e, f, num, den in found:
-        if lam is None or num * d0 != n0 * den:
-            lam, n0, d0 = Fraction(num, den), num, den
+    last = lam = None
+    for key, e, f, num, den in found:
+        if key != last:
+            last, lam = key, Fraction(num, den)
         points.append(EqualityPoint(e, f, lam))
     return points
 
@@ -297,11 +296,12 @@ class BasisSchedule:
     """Optimal bases over the whole interval plus the value function.
 
     ``cuts[i]`` carries ``swaps[i]`` and switches from ``bases[i]`` to
-    ``bases[i+1]``.  Coincident crossings can repeat a cut value; the value
-    function skips the resulting zero-width pieces.  ``points`` are the
-    sorted crossings (see :func:`interior_crossings`); ``walk`` holds the same
-    crossings in the order the sweep walked them, each bundle in
-    :func:`perturbed_bundle_order`.
+    ``bases[i+1]``.  Coincident crossings can repeat a cut value; ``value``
+    has no zero-width pieces, since the sweep gives it one cut per crossing
+    value that changed the basis, with the basis's line after that value.
+    ``points`` are the sorted crossings (see :func:`interior_crossings`);
+    ``walk`` holds the same crossings in the order the sweep walked them,
+    each bundle in :func:`perturbed_bundle_order`.
     """
 
     cuts: tuple[Fraction, ...]
@@ -335,6 +335,8 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     bases: list[frozenset[int]] = [basis]
     swaps: list[tuple[int, int]] = []
     walk: list[EqualityPoint] = []
+    value_cuts: list[Fraction] = []
+    lines = [inst.basis_line(basis)]
     for idx, (lam, group) in enumerate(groups):
         right_rep = None  # read only to verify a bundle
         if len(group) > 1:
@@ -347,24 +349,13 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
             cuts.append(lam)
             bases.append(after)
             swaps.append((out, in_))
+        if applied:
+            value_cuts.append(lam)
+            lines.append(inst.basis_line(basis))
 
-    value = _schedule_value(inst, cuts, bases)
+    value = PWLFunction.build(interval, value_cuts, lines)
     slopes = [p.b for p in value.pieces]
     if any(nxt >= prev for prev, nxt in zip(slopes, slopes[1:])):
         raise AssertionError("optimal value function is not concave")
     return BasisSchedule(tuple(cuts), tuple(bases), tuple(swaps), value, tuple(points), tuple(walk))
 
-
-def _schedule_value(
-    inst: MatroidInstance, cuts: Sequence[Fraction], bases: Sequence[frozenset[int]]
-) -> PWLFunction:
-    bounds = [inst.interval.lo] + [extended(c) for c in cuts] + [inst.interval.hi]
-    keep_cuts: list[Fraction] = []
-    pieces: list[LinearFn] = []
-    for i, basis in enumerate(bases):
-        if not bounds[i] < bounds[i + 1]:
-            continue  # zero-width window inside a coincident bundle
-        if pieces:
-            keep_cuts.append(cuts[i - 1])
-        pieces.append(inst.basis_line(basis))
-    return PWLFunction.build(inst.interval, keep_cuts, pieces)

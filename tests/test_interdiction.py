@@ -8,6 +8,7 @@ import pytest
 
 from matroid_interdiction import (
     ColoopError,
+    EqualityPoint,
     GraphicMatroid,
     LinearFn,
     MatroidInstance,
@@ -220,6 +221,28 @@ class TestFindCandidates:
 
     def test_works_on_coloopy_instances(self, bridge):
         assert len(find_candidates(bridge, interior_crossings(bridge))) == 0
+
+    def test_equal_values_held_by_distinct_fractions_are_not_lone(self):
+        # Three lines through (0, 0) and a constant line: a bundle of three
+        # crossings at 0 and lone crossings at -1 and 1.  Unlike the output
+        # of interior_crossings, the bundle does not share one Fraction.
+        inst = MatroidInstance(
+            UniformMatroid(4, 2),
+            tuple(LinearFn(a, b) for a, b in ((0, 1), (0, 0), (0, -1), (1, 0))),
+            ParamInterval.closed(-2, 2),
+        )
+        crossings = [
+            EqualityPoint(3, 2, Fraction(-1)),
+            EqualityPoint(0, 1, Fraction(0)),
+            EqualityPoint(0, 2, Fraction(0)),
+            EqualityPoint(1, 2, Fraction(0)),
+            EqualityPoint(0, 3, Fraction(1)),
+        ]
+        assert crossings == interior_crossings(inst)
+        assert len({id(pt.lam) for pt in crossings}) == len(crossings)
+        entries = find_candidates(inst, crossings).entries
+        assert [entry.point for entry in entries] == crossings
+        assert [entry.lone for entry in entries] == [True, False, False, False, True]
 
 
 class TestSolveIntervals:

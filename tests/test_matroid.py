@@ -264,7 +264,7 @@ class TestColoopScan:
             expected = frozenset(
                 e
                 for e in view.ground()
-                if view.restrict(frozenset(view.ground()) - {e}).rank() < rank
+                if MatroidView(view.backend, view.active - {e}).rank() < rank
             )
             assert view.coloop_scan() == expected
 

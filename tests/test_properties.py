@@ -9,10 +9,13 @@ the incremental candidate filter (its lone marks included) and the integer
 line envelope must agree with plain recomputations, and every ``check``
 self-check must pass.  The
 integer continuity check, crossing order and crossing grouping are also run
-on coefficients up to 2**80 with values 2**-70 apart, against ``Fraction``
-arithmetic, and the crossings at one value must share one ``Fraction``.  The
-bundle order is checked against the exact perturbed crossing positions, the
-schedule's recorded walk against that order, and every exchange answer
+on coefficients up to 2**80 with values 2**-70 apart, and the crossing order
+on values about as close as its integer key can tell apart, against
+``Fraction`` arithmetic; the crossings at one value must share one
+``Fraction``.  The bundle order is checked against the exact perturbed
+crossing positions, the schedule's recorded walk against that order, its
+value function against one found from its cuts and bases on instances with
+several swaps at one value, and every exchange answer
 against a plain independence test.  Each backend's one-loop independence
 and greedy kernels are checked against its incremental builder, every
 replacement scan against the cheapest exchange by (key, id) under both key
@@ -33,6 +36,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby, product
+from typing import Sequence
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -229,6 +233,64 @@ def test_schedule_walk_puts_each_bundle_in_perturbed_order(inst):
     )
 
 
+@st.composite
+def swap_bundles(draw) -> MatroidInstance:
+    """Tie-heavy instances with k >= 2 basis swaps at one value.
+
+    A uniform matroid U(k, m), sometimes doubled, whose first 2k lines have
+    distinct slopes and meet at one point at lam = 1/2, inside every interval
+    of INTERVALS: the k steepest are the basis just left of it and the k
+    shallowest just right of it.  The other lines, as tied among themselves
+    as :func:`weight_lines` makes them, are lifted to be heavier there.
+    """
+    k = draw(st.integers(2, 3))
+    centre, height = Fraction(1, 2), draw(INTEGER_COEFF)
+    slopes = draw(st.sets(st.integers(-3, 3), min_size=2 * k, max_size=2 * k))
+    lines = [LinearFn(height - b * centre, b) for b in slopes]
+    for line in draw(weight_lines(draw(st.integers(0, 3)))):
+        lift = max(height + 1 - line(centre), Fraction(0))
+        lines.append(LinearFn(line.a + lift, line.b))
+    lines = draw(st.permutations(lines))
+    inst = MatroidInstance(UniformMatroid(len(lines), k), tuple(lines), draw(INTERVALS))
+    return doubled_instance(inst) if draw(st.booleans()) else inst
+
+
+def schedule_value(
+    inst: MatroidInstance, cuts: Sequence[Fraction], bases: Sequence[frozenset[int]]
+) -> PWLFunction:
+    """The plain value function from a schedule's cuts and bases: each
+    basis's line on its window, skipping the zero-width windows inside a
+    coincident bundle by comparing the windows' ends as extended rationals.
+
+    The reference for the lines :func:`parametric_min_basis` records as it
+    walks, found here from the cuts alone.
+    """
+    bounds = [inst.interval.lo] + [extended(c) for c in cuts] + [inst.interval.hi]
+    keep_cuts: list[Fraction] = []
+    pieces: list[LinearFn] = []
+    for i, basis in enumerate(bases):
+        if not bounds[i] < bounds[i + 1]:
+            continue  # zero-width window inside a coincident bundle
+        if pieces:
+            keep_cuts.append(cuts[i - 1])
+        pieces.append(inst.basis_line(basis))
+    return PWLFunction.build(inst.interval, keep_cuts, pieces)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(swap_bundles())
+def test_recorded_value_lines_match_the_reference_over_the_schedule(inst):
+    schedule = parametric_min_basis(inst)
+    assert len(set(schedule.cuts)) < len(schedule.cuts)  # several swaps at one value
+    assert schedule.value == schedule_value(inst, schedule.cuts, schedule.bases)
+
+
 @settings(
     derandomize=True,
     max_examples=60,
@@ -245,7 +307,6 @@ def test_every_structural_check_passes(inst):
 def recomputed_candidates(inst: MatroidInstance, crossings) -> list[CandidateEntry]:
     """The candidate filter with components and ranks recomputed per insertion,
     and each crossing's lone mark from a count of the crossings per value."""
-    view = inst.view()
     per_value = Counter(pt.lam for pt in crossings)
     weight = inst.weights_at(start_representative(inst.interval, crossings))
     active = [
@@ -258,16 +319,16 @@ def recomputed_candidates(inst: MatroidInstance, crossings) -> list[CandidateEnt
         }
         for e in range(inst.m)
     ]
-    comps = [view.restrict(grown).components() for grown in active]
+    comps = [MatroidView(inst.backend, frozenset(grown)).components() for grown in active]
     out = []
     for pt in crossings:
         e, f = pt.lighter_before, pt.lighter_after
         before = comps[e]
-        rank_before = view.restrict(active[e]).rank()
+        rank_before = MatroidView(inst.backend, frozenset(active[e])).rank()
         active[e].add(f)
-        after = view.restrict(active[e]).components()
+        after = MatroidView(inst.backend, frozenset(active[e])).components()
         comps[e] = after
-        by_rank = view.restrict(active[e]).rank() > rank_before
+        by_rank = MatroidView(inst.backend, frozenset(active[e])).rank() > rank_before
         by_singleton = any(
             g != f and g in before.comp_of and before.is_singleton(g)
             for g in after.members[after.component_of(f)]
@@ -493,6 +554,62 @@ def test_crossings_share_one_fraction_per_value_and_group_by_value(inst):
         assert group_by_lambda(pts) == expected
 
 
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@st.composite
+def near_ties(draw) -> MatroidInstance:
+    """Crossings about as close as the integer sort key can tell apart.
+
+    With Fibonacci numbers ``F``, the lines ``F(n+1)*(lam - x) - F(n)`` and
+    ``F(n+2)*(lam - x) - F(n+1)`` meet the zero line at ``x + F(n)/F(n+1)``
+    and ``x + F(n+1)/F(n+2)``, only ``1/(F(n+1)*F(n+2))`` apart: about the
+    reciprocal of the squared slope spread, and below ``2**-64`` for the
+    ``n`` drawn here.  Each line is scaled by its own positive rational, which
+    keeps those two crossings, and free lines with coefficients up to
+    ``2**80`` join them, over an interval whose ends may sit on a crossing.
+    """
+    n = draw(st.integers(50, 90))
+    f0, f1, f2 = fibonacci(n), fibonacci(n + 1), fibonacci(n + 2)
+    x = Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 8)))
+    factor = st.builds(Fraction, st.integers(1, 2**8), st.integers(1, 2**8))
+    lines = [LinearFn(0, 0)] + [
+        LinearFn(c * (-slope * x - drop), c * slope)
+        for slope, drop in ((f1, f0), (f2, f1))
+        for c in (draw(factor),)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(LinearFn(draw(HUGE_FRACTION), draw(HUGE_FRACTION)))
+    lines = draw(st.permutations(lines))
+    ends = sorted({x, x + Fraction(f0, f1), x + Fraction(f1, f2), x + 1})
+    lo = draw(st.sampled_from(["-inf", *ends[:-1]]))
+    hi = draw(st.sampled_from(["inf", *(end for end in ends if lo == "-inf" or end > lo)]))
+    return MatroidInstance(
+        UniformMatroid(len(lines), 1), tuple(lines), ParamInterval.closed(lo, hi)
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(near_ties())
+def test_near_tie_crossings_take_the_exact_order_and_share_one_fraction(inst):
+    points = [
+        pt
+        for i, j in combinations(range(inst.m), 2)
+        for pt in (equality_point(i, inst.weights[i], j, inst.weights[j]),)
+        if pt is not None and inst.interval.strictly_inside(pt.lam)
+    ]
+    expected = sorted(points, key=lambda p: (p.lam, p.lighter_before, p.lighter_after))
+    found = interior_crossings(inst)
+    assert found == expected
+    shared: dict[Fraction, Fraction] = {}
+    for pt in found:
+        assert shared.setdefault(pt.lam, pt.lam) is pt.lam
+
+
 @st.composite
 def labeled_functions(draw) -> PWLFunction:
     """Continuous functions whose pieces often repeat a line, under few labels,
@@ -712,7 +829,7 @@ def test_growing_restriction_keeps_the_coloops_in_any_insertion_order(backend, d
     rank, coloops = 0, set()
     for i, f in enumerate(order):
         grew, merged = grower.add(f)
-        inserted = view.restrict(order[: i + 1])
+        inserted = MatroidView(backend, frozenset(order[: i + 1]))
         new_rank = inserted.rank()
         new_coloops = {e for e in inserted.active if inserted.delete(e).rank() < new_rank}
         assert grower.coloops == new_coloops
