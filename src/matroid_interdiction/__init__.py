@@ -28,6 +28,7 @@ from .interdiction import (
     doubled_graphic_instance,
     doubled_instance,
     find_candidates,
+    removal_gains,
     removal_value_functions,
     solve_intervals,
     solve_naive,
@@ -40,6 +41,7 @@ from .pwl import (
     envelope_of_pwl,
     equality_point,
     pwl_equal,
+    pwl_sum,
 )
 from .rationals import (
     NEG_INF,
@@ -85,7 +87,9 @@ __all__ = [
     "interdict_at",
     "parametric_min_basis",
     "pwl_equal",
+    "pwl_sum",
     "rational",
+    "removal_gains",
     "removal_value_functions",
     "solve_bruteforce",
     "solve_intervals",

@@ -37,6 +37,7 @@ from .interdiction import (
     doubled_instance,
     find_candidates,
     naive_solution,
+    removal_gains,
     removal_value_functions,
     solve_naive,
     window_solution,
@@ -55,7 +56,7 @@ EXIT_CHECK_FAILED = 3
 
 _SOLVERS = {
     "naive": lambda inst, schedule, candidates: naive_solution(
-        inst, removal_value_functions(inst, schedule)
+        inst, schedule, removal_gains(inst, schedule)
     ),
     "intervals": lambda inst, schedule, candidates: window_solution(inst, candidates),
     "oracle": lambda inst, schedule, candidates: solve_bruteforce(inst),
@@ -137,8 +138,9 @@ def cmd_solve(args) -> int:
 
 def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
     schedule = parametric_min_basis(inst)
-    removal = removal_value_functions(inst, schedule)
-    naive = naive_solution(inst, removal)
+    gains = removal_gains(inst, schedule)
+    naive = naive_solution(inst, schedule, gains)
+    removal = removal_value_functions(inst, schedule, gains)
     candidates = find_candidates(inst, schedule.points)
     intervals = window_solution(inst, candidates)
     brute = solve_bruteforce(inst)

@@ -3,12 +3,15 @@
 Two exact routes to the optimal interdiction value function, each an
 assembler over artifacts that are built once per instance and passed down:
 
-* :func:`naive_solution` envelopes the :func:`removal_value_functions`, which
-  replay the plain schedule's walk over the crossings, keeping the optimum
-  with each basis member deleted as the basis minus it plus its replacement
-  element (every other deleted optimum is the plain one).  Only a crossing
-  of two non-basis elements runs independence tests, one per member whose
-  replacement is the lighter-before one.
+* :func:`naive_solution` envelopes the :func:`removal_gains`, how much
+  deleting each element raises the plain optimum, and adds the plain
+  optimum once.  The gains replay the plain schedule's walk over the
+  crossings, keeping the optimum with each basis member deleted as the basis
+  minus it plus its replacement element (every other deleted optimum is the
+  plain one, a gain of 0), so a crossing records only the members it
+  touches.  Only a crossing of two non-basis elements runs independence
+  tests, one per member whose replacement is the lighter-before one.
+  :func:`removal_value_functions` gives the removal optima themselves.
 * :func:`window_solution` solves each window between the crossings that
   :func:`find_candidates` keeps (rank growth or singleton-component
   absorption in growing restrictions, one :class:`.GrowingRestriction` per
@@ -29,7 +32,6 @@ collapse onto the plain optimum -- a handy self-test.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -46,35 +48,38 @@ from .parametric import (
     parametric_min_basis,
     start_representative,
 )
-from .pwl import EqualityPoint, LinearFn, PWLFunction, envelope_of_pwl, upper_hull
+from .pwl import EqualityPoint, LinearFn, PWLFunction, envelope_of_pwl, pwl_sum, upper_hull
 from .rationals import extended, interior_point
 from .solution import Solution, build_solution
 
-_FOLLOWS_MAIN = None  # sentinel line meaning "this element tracks the optimum"
+_NO_GAIN: BasisSums = (0, 0)  # the gain of an element outside the basis
 
 
-def removal_value_functions(
-    inst: MatroidInstance, schedule: BasisSchedule
-) -> dict[int, PWLFunction]:
-    """For every element, the optimum of the instance with it removed.
+def removal_gains(inst: MatroidInstance, schedule: BasisSchedule) -> dict[int, PWLFunction]:
+    """For every element, how much deleting it raises the plain optimum.
 
-    The optimum without a member ``g`` of the main basis ``B`` is
-    ``B - g + r[g]``, ``r[g]`` its cheapest replacement element.  One
+    Deleting a member ``g`` of the main basis ``B`` leaves the optimum
+    ``B - g + r[g]``, ``r[g]`` its cheapest replacement element, so its gain
+    is the line ``w(r[g]) - w(g)``; deleting any other element gains 0.  One
     :meth:`.MatroidView.replacement_element` scan per member seeds ``r`` at
     the start, and replaying the ``walk`` of ``schedule`` (the instance's
     :func:`parametric_min_basis`), each crossing e->f an isolated crossing
     of the id-perturbed instance, updates it:
 
-    * at the schedule's next swap, e follows the plain optimum, ``r[f] = e``,
-      members with ``r[g] == f`` take e and keep their line, and every other
-      line moves with the main one, without an independence test;
+    * at the schedule's next swap, e leaves ``B`` and gains 0, f enters with
+      ``r[f] = e``, members with ``r[g] == f`` take e, and no other gain
+      moves, without an independence test;
     * with e and f outside ``B``, each member with ``r[g] == e`` takes one
-      swap test (:func:`_yielding_to`);
+      swap test (:func:`_yielding_to`) and those that pass take f;
     * no other crossing changes anything.
 
-    Changes at one value collapse into the last one.  Lines stay integer
-    sums over :attr:`MatroidInstance.scaled` until they become pieces, and
-    non-members share the plain value function.  Refuses coloops and rank 0.
+    So a crossing records only the gains it changes.  Changes at one value
+    collapse into the last one.  Gains stay integer pairs over
+    :attr:`MatroidInstance.scaled` until they become pieces, and every gain
+    is continuous, so each :meth:`.PWLFunction.build` checks every cut.  The
+    elements that hold no place in the basis on an interval of positive
+    length (see :func:`_lasting_members`) share one zero function.  Refuses
+    rank 0.
     """
     basis = schedule.bases[0]
     if not basis:
@@ -83,21 +88,20 @@ def removal_value_functions(
     _, a, b = inst.scaled
     order = inst.order_at(start_representative(inst.interval, schedule.points))
     replacement = {g: view.replacement_element(basis, g, order) for g in sorted(basis)}
-    main_sums = inst.basis_sums(basis)
 
-    def member_line(g: int) -> BasisSums:
-        r = replacement[g]
-        return main_sums[0] - a[g] + a[r], main_sums[1] - b[g] + b[r]
+    def gain(g: int, r: int) -> BasisSums:
+        return a[r] - a[g], b[r] - b[g]
 
-    own_transitions: dict[int, list[tuple[Fraction | None, BasisSums | None]]] = {
-        e: [(None, member_line(e) if e in basis else _FOLLOWS_MAIN)] for e in range(inst.m)
+    transitions: dict[int, list[tuple[Fraction | None, BasisSums]]] = {
+        e: [(None, gain(e, replacement[e]) if e in basis else _NO_GAIN)]
+        for e in frozenset().union(*schedule.bases)
     }
 
-    def record_own(e: int, lam: Fraction, line: BasisSums | None):
-        transitions = own_transitions[e]
-        if transitions[-1][0] == lam:
-            transitions.pop()  # a zero-width span inside a bundle
-        transitions.append((lam, line))
+    def record(e: int, lam: Fraction, line: BasisSums):
+        own = transitions[e]
+        if own[-1][0] == lam:
+            own.pop()  # a zero-width span inside a bundle
+        own.append((lam, line))
 
     main_swaps = zip(schedule.swaps, schedule.bases[1:])
     main_swap, next_basis = next(main_swaps, (None, None))
@@ -105,70 +109,84 @@ def removal_value_functions(
         e, f, lam = pt.lighter_before, pt.lighter_after, pt.lam
         if (e, f) == main_swap:
             del replacement[e]
-            record_own(e, lam, _FOLLOWS_MAIN)
-            replacement[f] = e
-            main_sums = (main_sums[0] + a[f] - a[e], main_sums[1] + b[f] - b[e])
+            record(e, lam, _NO_GAIN)
             for g, r in replacement.items():
                 if r == f:
                     replacement[g] = e  # B - g + f is still the optimum without g
-                else:
-                    record_own(g, lam, member_line(g))
+                    record(g, lam, gain(g, e))
+            replacement[f] = e
+            record(f, lam, gain(f, e))
             basis = next_basis
             main_swap, next_basis = next(main_swaps, (None, None))
         elif e not in basis and f not in basis:
             for g in list(_yielding_to(view, basis, replacement, e, f)):
                 replacement[g] = f
-                record_own(g, lam, member_line(g))
+                record(g, lam, gain(g, f))
 
-    return {e: schedule.value if all(line is _FOLLOWS_MAIN for _, line in transitions)
-            else _assemble(inst, transitions, schedule.value)
-            for e, transitions in own_transitions.items()}
+    zero_line = inst.sums_line(_NO_GAIN)
+    zero = PWLFunction.from_line(inst.interval, zero_line)
+    gains = {
+        e: PWLFunction.build(
+            inst.interval,
+            [lam for lam, _ in transitions[e][1:]],
+            [zero_line if line == _NO_GAIN else inst.sums_line(line)
+             for _, line in transitions[e]],
+        )
+        for e in _lasting_members(schedule)
+    }
+    return {e: gains.get(e, zero) for e in range(inst.m)}
 
 
-def _assemble(
+def _lasting_members(schedule: BasisSchedule) -> frozenset[int]:
+    """The elements in the optimal basis on an interval of positive length:
+    the start basis and the basis after each swap value's last swap.  Any
+    other element of ``schedule.bases`` enters and leaves inside one bundle."""
+    cuts, bases = schedule.cuts, schedule.bases
+    return frozenset().union(bases[0], *(
+        bases[i + 1] for i in range(len(cuts))
+        if i + 1 == len(cuts) or cuts[i + 1] != cuts[i]))
+
+
+def removal_value_functions(
     inst: MatroidInstance,
-    transitions: Sequence[tuple[Fraction | None, BasisSums | None]],
-    main: PWLFunction,
-) -> PWLFunction:
-    """Splice explicit line spans with spans that track the main optimum."""
-    cuts: list[Fraction] = []
-    pieces: list[LinearFn] = []
-    for i, (start, line) in enumerate(transitions):
-        if start is not None:
-            cuts.append(start)
-        if line is not _FOLLOWS_MAIN:
-            pieces.append(inst.sums_line(line))
-            continue
-        end = transitions[i + 1][0] if i + 1 < len(transitions) else None
-        first = 0 if start is None else bisect_right(main.cuts, start)
-        last = len(main.cuts) if end is None else bisect_left(main.cuts, end)
-        pieces.append(main.pieces[first])
-        for j in range(first + 1, last + 1):
-            cuts.append(main.cuts[j - 1])
-            pieces.append(main.pieces[j])
-    return PWLFunction.build(main.domain, cuts, pieces)
+    schedule: BasisSchedule,
+    gains: dict[int, PWLFunction] | None = None,
+) -> dict[int, PWLFunction]:
+    """For every element, the optimum of the instance with it removed.
+
+    That is the plain optimum ``schedule.value`` plus the element's
+    :func:`removal_gains`, which ``gains`` may hand over if they were
+    already walked for ``schedule``.  The elements that share the zero gain
+    share ``schedule.value`` itself.  Refuses rank 0.
+    """
+    if gains is None:
+        gains = removal_gains(inst, schedule)
+    members = _lasting_members(schedule)
+    return {e: pwl_sum(schedule.value, gain) if e in members else schedule.value
+            for e, gain in gains.items()}
 
 
 def solve_naive(inst: MatroidInstance) -> Solution:
     """The full sweep: the envelope of every element's removal optimum."""
     schedule = parametric_min_basis(inst)
-    return naive_solution(inst, removal_value_functions(inst, schedule))
+    return naive_solution(inst, schedule, removal_gains(inst, schedule))
 
 
-def naive_solution(inst: MatroidInstance, removal: dict[int, PWLFunction]) -> Solution:
-    """Upper envelope of the :func:`removal_value_functions` ``removal``."""
-    # Many elements share the plain optimum object; feed each distinct
-    # function once with its smallest owning label.
+def naive_solution(
+    inst: MatroidInstance, schedule: BasisSchedule, gains: dict[int, PWLFunction]
+) -> Solution:
+    """The plain optimum plus the upper envelope of the :func:`removal_gains`.
+
+    Adding ``schedule.value`` to every input moves no maximizer, so the
+    labeled envelope of the gains, plus that value once (:func:`.pwl_sum`),
+    is the labeled envelope of the removal value functions.  Each distinct
+    gain function goes in once, under its smallest owning label.
+    """
     by_identity: dict[int, tuple[int, PWLFunction]] = {}
     for e in range(inst.m):
-        fn = removal[e]
-        key = id(fn)
-        if key not in by_identity or e < by_identity[key][0]:
-            by_identity[key] = (e, fn)
-    labeled = envelope_of_pwl(
-        sorted(by_identity.values(), key=lambda pair: pair[0]), inst.interval
-    )
-    return build_solution(inst, labeled)
+        by_identity.setdefault(id(gains[e]), (e, gains[e]))
+    labeled = envelope_of_pwl(list(by_identity.values()), inst.interval)
+    return build_solution(inst, pwl_sum(labeled, schedule.value))
 
 
 @dataclass(frozen=True, slots=True)

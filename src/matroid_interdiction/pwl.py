@@ -8,7 +8,9 @@ of a window on which every input is a single line, fill one set of cut,
 piece and label lists, and one :meth:`PWLFunction.build` turns them into the
 result.  :func:`envelope_of_pwl` runs one pass per window between its
 inputs' cuts, the window solver one per run of windows, and
-:func:`envelope_of_lines`, which the oracle uses, a single pass.  Ties in
+:func:`envelope_of_lines`, which the oracle uses, a single pass.
+:func:`pwl_sum` adds two functions on one domain, the naive solver's plain
+optimum to its envelope of removal gains.  Ties in
 value are broken by the smallest element id so the winning labels are
 reproducible across solvers and platforms.
 
@@ -344,10 +346,12 @@ def envelope_of_pwl(
     Every input must be defined on all of ``window``.  The inputs' cuts
     strictly inside ``window`` split it into sub-windows on which every input
     is a single line; each sub-window takes one integer hull pass
-    (:func:`upper_hull`) over the pieces of all inputs there.  The pieces
-    are scaled to integers once, over one common denominator, and each input
-    steps to its next scaled piece at each of its own cuts, so no piece is
-    searched for.  The hull crossings and the sub-window seams go to one
+    (:func:`upper_hull`) over the pieces of all inputs there.  Each distinct
+    piece object is scaled to integers once, over one common denominator,
+    and each input steps to its next scaled piece at each of its own cuts,
+    so no piece is searched for.  The cuts are grouped by their integer
+    ``(numerator, denominator)`` pairs and ordered by exact integer keys.
+    The hull crossings and the sub-window seams go to one
     :meth:`PWLFunction.build`, which checks every cut and merges each seam
     across which neither the line nor the label changes.  Each open piece is
     labeled with the smallest label among its maximizers.
@@ -361,30 +365,72 @@ def envelope_of_pwl(
             raise ValueError(f"window {window} not inside domain {fn.domain}")
     lo = window.lo.value if window.lo.is_finite else None
     hi = window.hi.value if window.hi.is_finite else None
-    # spans[j]: input j's pieces on the window; owners[c]: the inputs with a cut at c.
+    # spans[j]: input j's pieces on the window; owners[(p, q)]: the cut p/q
+    # and the inputs with a cut there.
     spans: list[tuple[int, Sequence[LinearFn]]] = []
-    owners: dict[Fraction, list[int]] = {}
+    owners: dict[tuple[int, int], tuple[Fraction, list[int]]] = {}
     for j, (label, fn) in enumerate(fs):
         start = 0 if lo is None else bisect_right(fn.cuts, lo)
         stop = len(fn.cuts) if hi is None else bisect_left(fn.cuts, hi)
         for cut in fn.cuts[start:stop]:
-            owners.setdefault(cut, []).append(j)
+            owners.setdefault(cut.as_integer_ratio(), (cut, []))[1].append(j)
         spans.append((label, fn.pieces[start : stop + 1]))
-    scale = _common_scale(line for _, span in spans for line in span)
+    distinct = {id(line): line for _, span in spans for line in span}
+    scale = _common_scale(distinct.values())
+    scaled = {key: _scaled(line, scale) for key, line in distinct.items()}
     # steps[j] yields input j's pieces, scaled; current[j] is the one in force.
     steps = [
-        iter([(*_scaled(line, scale), label, line) for line in span])
+        iter([(*scaled[id(line)], label, line) for line in span])
         for label, span in spans
     ]
     current = [next(step) for step in steps]
     cuts: list[Fraction] = []
     pieces: list[LinearFn] = []
     labels: list[int] = []
-    for cut in sorted(owners):
+    # (p << s) // q orders the cuts exactly, as in interior_crossings: two
+    # different cuts over denominators below 2**(s/2) differ by more than 2**-s.
+    shift = 2 * max((q for _, q in owners), default=0).bit_length()
+    for p, q in sorted(owners, key=lambda ratio: (ratio[0] << shift) // ratio[1]):
+        cut, owned = owners[p, q]
         upper_hull(current, lo, cut, cuts, pieces, labels, scale)
         cuts.append(cut)
-        for j in owners[cut]:
+        for j in owned:
             current[j] = next(steps[j])
         lo = cut
     upper_hull(current, lo, hi, cuts, pieces, labels, scale)
     return PWLFunction.build(window, cuts, pieces, labels)
+
+
+def pwl_sum(left: PWLFunction, right: PWLFunction) -> PWLFunction:
+    """The pointwise sum of two functions on one domain, with ``left``'s labels.
+
+    Its cuts are the union of both inputs' cuts, each piece the sum of the
+    two pieces in force there under the label of ``left``'s.  One
+    :meth:`PWLFunction.build` checks every cut and merges each across which
+    neither the summed line nor the label changes, such as a cut of both
+    inputs whose slope changes cancel.
+    """
+    if left.domain != right.domain:
+        raise ValueError(f"domains differ: {left.domain} vs {right.domain}")
+    lc, rc = left.cuts, right.cuts
+    cuts: list[Fraction] = []
+    pieces: list[LinearFn] = []
+    labels: list[int] | None = [] if left.labels is not None else None
+    i = j = 0
+    while True:
+        lp, rp = left.pieces[i], right.pieces[j]
+        pieces.append(LinearFn(lp.a + rp.a, lp.b + rp.b))
+        if labels is not None:
+            labels.append(left.labels[i])  # type: ignore[index]
+        if i < len(lc) and (j == len(rc) or lc[i] <= rc[j]):
+            cut = lc[i]
+            i += 1
+            if j < len(rc) and rc[j] == cut:
+                j += 1
+        elif j < len(rc):
+            cut = rc[j]
+            j += 1
+        else:
+            break
+        cuts.append(cut)
+    return PWLFunction.build(left.domain, cuts, pieces, labels)

@@ -30,7 +30,13 @@ def rational(value: RationalLike) -> Fraction:
 
     Only integer and ``p/q`` spellings with a nonzero ``q`` are accepted;
     decimal strings and floats are refused so no rounding can sneak in.
+    The exact types are tested first: every :class:`.LinearFn` coerces its
+    two coefficients here, and ``bool`` is not ``int`` by ``type``.
     """
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

@@ -271,6 +271,29 @@ class TestCheck:
             "group_by_lambda": 4, "perturbed_bundle_order": 6,
         }
 
+    def test_solve_and_check_walk_the_removal_gains_once_per_instance(
+        self, instance_file, tmp_path, monkeypatch
+    ):
+        import matroid_interdiction.cli as cli_module
+
+        walked = Counter()
+        original = interdiction.removal_gains
+
+        def counted(inst, schedule):
+            walked[inst.m] += 1
+            return original(inst, schedule)
+
+        monkeypatch.setattr(cli_module, "removal_gains", counted)
+        monkeypatch.setattr(interdiction, "removal_gains", counted)
+        src = instance_file(C4P)
+        assert main(["solve", "--in", src, "--out", str(tmp_path / "sol.json")]) == 0
+        assert walked == {4: 1}
+        walked.clear()
+        # the input's walk feeds both the naive solution and the removal
+        # functions it checks; the doubled instance takes one walk of its own
+        assert main(["check", "--in", src]) == 0
+        assert walked == {4: 1, 8: 1}
+
     def test_failing_check_exits_3_with_counterexample(
         self, instance_file, capsys, monkeypatch
     ):

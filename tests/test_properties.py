@@ -28,15 +28,19 @@ joined by :func:`stitch`, the window solver, which carries a basis across
 candidate values and builds one envelope, against one greedy run and one line
 envelope per window, joined the same way, and the removal sweep, which keeps
 one replacement per basis member, against the sweep over k deleted bases that
-it replaced, on multigraphs, uniform instances up to k = m - 1 and doubles.
-Examples are derandomized so every run checks the same instances.
+it replaced, on multigraphs, uniform instances up to k = m - 1 and doubles;
+on the same instances, the naive solver's labeled envelope of removal gains
+plus the plain optimum against the labeled envelope of that sweep's removal
+optima.  Examples are derandomized so every run checks the same instances.
 """
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -65,10 +69,11 @@ from matroid_interdiction import (
 )
 from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.instances import dump_solution
+from matroid_interdiction import interdiction
 from matroid_interdiction.interdiction import (
-    _FOLLOWS_MAIN,
     CandidateEntry,
-    _assemble,
+    naive_solution,
+    removal_gains,
     window_solution,
 )
 from matroid_interdiction.matroid import DoubledMatroid, GrowingRestriction
@@ -977,6 +982,33 @@ def test_window_carry_over_matches_one_run_per_window(inst):
     assert dumped[0] == dumped[1]
 
 
+_FOLLOWS_MAIN = None  # sentinel line meaning "this element tracks the optimum"
+
+
+def _assemble(
+    inst: MatroidInstance,
+    transitions: Sequence[tuple[Fraction | None, BasisSums | None]],
+    main: PWLFunction,
+) -> PWLFunction:
+    """Splice explicit line spans with spans that track the main optimum."""
+    cuts: list[Fraction] = []
+    pieces: list[LinearFn] = []
+    for i, (start, line) in enumerate(transitions):
+        if start is not None:
+            cuts.append(start)
+        if line is not _FOLLOWS_MAIN:
+            pieces.append(inst.sums_line(line))
+            continue
+        end = transitions[i + 1][0] if i + 1 < len(transitions) else None
+        first = 0 if start is None else bisect_right(main.cuts, start)
+        last = len(main.cuts) if end is None else bisect_left(main.cuts, end)
+        pieces.append(main.pieces[first])
+        for j in range(first + 1, last + 1):
+            cuts.append(main.cuts[j - 1])
+            pieces.append(main.pieces[j])
+    return PWLFunction.build(main.domain, cuts, pieces)
+
+
 def deleted_bases_sweep(
     inst: MatroidInstance, schedule: BasisSchedule
 ) -> dict[int, PWLFunction]:
@@ -1077,3 +1109,37 @@ def test_replacement_sweep_matches_the_deleted_bases_sweep(inst):
     assert found == expected
     assert all((found[e] is schedule.value) == (expected[e] is schedule.value)
                for e in range(inst.m))
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(removal_instances())
+def test_plain_optimum_plus_gain_envelope_is_the_removal_envelope(inst):
+    # Adding the plain optimum to every removal gain moves no maximizer, so
+    # the labeled envelope naive_solution builds from the gains is the one of
+    # the reference removal optima, cut for cut and label for label.
+    schedule = parametric_min_basis(inst)
+    reference = deleted_bases_sweep(inst, schedule)
+    distinct: dict[int, tuple[int, PWLFunction]] = {}
+    for e in range(inst.m):
+        distinct.setdefault(id(reference[e]), (e, reference[e]))
+    expected = envelope_of_pwl(list(distinct.values()), inst.interval)
+    gains = removal_gains(inst, schedule)
+    with mock.patch.object(interdiction, "build_solution", wraps=build_solution) as built:
+        naive = naive_solution(inst, schedule, gains)
+    (_, labeled), _ = built.call_args
+    assert labeled == expected
+    assert naive == build_solution(inst, expected)
+    # Exactly the elements whose reference removal optimum is the plain one
+    # itself share one zero gain.
+    shared = {id(gains[e]) for e in range(inst.m) if reference[e] is schedule.value}
+    assert len(shared) <= 1
+    for e in range(inst.m):
+        assert (id(gains[e]) in shared) == (reference[e] is schedule.value)
+        if id(gains[e]) in shared:
+            assert gains[e].cuts == () and gains[e].pieces == (LinearFn(0, 0),)

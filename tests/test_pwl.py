@@ -11,6 +11,7 @@ from matroid_interdiction.pwl import (
     envelope_of_pwl,
     equality_point,
     pwl_equal,
+    pwl_sum,
 )
 from matroid_interdiction.rationals import ParamInterval
 
@@ -185,6 +186,23 @@ class TestEnvelopeOfPWL:
         assert env.pieces == (F(6, 0), F(5, 2))
         assert env.labels == (3, 0)
 
+    def test_cuts_closer_than_their_denominators_tell_apart_keep_their_order(self):
+        # Consecutive Fibonacci ratios about 2**-83 apart over denominators
+        # near 2**42: a key of half the exact width would tie them.
+        fib = [0, 1]
+        while len(fib) < 63:
+            fib.append(fib[-1] + fib[-2])
+        near, far = Fraction(fib[60], fib[61]), Fraction(fib[59], fib[60])
+        assert near < far and far - near == Fraction(1, fib[60] * fib[61])
+        ramps = [
+            (0, PWLFunction.build(WINDOW, [far], [F(0, 0), F(-far, 1)])),
+            (1, PWLFunction.build(WINDOW, [near], [F(0, 0), F(-near, 1)])),
+        ]
+        env = envelope_of_pwl(ramps, WINDOW)
+        assert env.cuts == (near,)
+        assert env.pieces == (F(0, 0), F(-near, 1))
+        assert env.labels == (0, 1)
+
     def test_pointwise_maximum_property_on_random_pwl(self):
         rng = random.Random(17)
         window = ParamInterval.closed(0, 4)
@@ -247,3 +265,58 @@ class TestPWLEqual:
         g = PWLFunction.from_line(ParamInterval.closed(0, 3), F(0, 1))
         with pytest.raises(ValueError):
             pwl_equal(f, g)
+
+
+class TestPWLSum:
+    def test_cuts_are_the_union_of_both_inputs_cuts(self):
+        # max(0, lam - 1/2) + min(0, 3/2 - lam) on [0, 2]
+        left = PWLFunction.build(WINDOW, [Fraction(1, 2)], [F(0, 0), F(Fraction(-1, 2), 1)])
+        right = PWLFunction.build(WINDOW, [Fraction(3, 2)], [F(0, 0), F(Fraction(3, 2), -1)])
+        total = pwl_sum(left, right)
+        assert total.cuts == (Fraction(1, 2), Fraction(3, 2))
+        assert total.pieces == (F(0, 0), F(Fraction(-1, 2), 1), F(1, 0))
+        assert total.labels is None
+        for lam in (Fraction(k, 4) for k in range(9)):
+            assert total.value_at(lam) == left.value_at(lam) + right.value_at(lam)
+
+    def test_left_labels_are_kept_and_right_labels_ignored(self):
+        left = PWLFunction.build(WINDOW, [Fraction(1)], [F(0, 1), F(0, 1)], labels=[3, 5])
+        right = PWLFunction.build(
+            WINDOW, [Fraction(1, 2)], [F(0, 0), F(Fraction(1, 2), -1)], labels=[7, 8])
+        total = pwl_sum(left, right)
+        assert total.cuts == (Fraction(1, 2), Fraction(1))
+        assert total.labels == (3, 3, 5)
+        assert total.pieces == (F(0, 1), F(Fraction(1, 2), 0), F(Fraction(1, 2), 0))
+        unlabeled = pwl_sum(right.drop_labels(), left)
+        assert unlabeled.labels is None and unlabeled.cuts == (Fraction(1, 2),)
+
+    def test_coinciding_cuts_become_one_cut(self):
+        left = PWLFunction.build(WINDOW, [Fraction(1)], [F(0, 1), F(1, 0)])
+        right = PWLFunction.build(WINDOW, [Fraction(1)], [F(0, 2), F(1, 1)])
+        total = pwl_sum(left, right)
+        assert total.cuts == (Fraction(1),)
+        assert total.pieces == (F(0, 3), F(2, 1))
+
+    def test_a_cut_whose_slope_changes_cancel_is_merged_away(self):
+        # max(lam, 1) + min(lam, 1) = lam + 1 on [0, 2]
+        left = PWLFunction.build(WINDOW, [Fraction(1)], [F(1, 0), F(0, 1)])
+        right = PWLFunction.build(WINDOW, [Fraction(1)], [F(0, 1), F(1, 0)])
+        total = pwl_sum(left, right)
+        assert total.cuts == () and total.pieces == (F(1, 1),)
+        # a label change across the cut keeps it
+        labeled = PWLFunction.build(WINDOW, [Fraction(1)], [F(1, 0), F(0, 1)], labels=[2, 4])
+        assert pwl_sum(labeled, right).cuts == (Fraction(1),)
+
+    def test_unbounded_domains_sum_piecewise(self):
+        line = ParamInterval.closed("-inf", "inf")
+        left = PWLFunction.build(line, [Fraction(0)], [F(0, 0), F(0, 1)])
+        right = PWLFunction.build(line, [Fraction(-1), Fraction(2)], [F(0, -1), F(1, 0), F(3, -1)])
+        total = pwl_sum(left, right)
+        assert total.cuts == (Fraction(-1), Fraction(0), Fraction(2))
+        assert total.pieces == (F(0, -1), F(1, 0), F(1, 1), F(3, 0))
+
+    def test_mismatched_domains_raise(self):
+        f = PWLFunction.from_line(WINDOW, F(0, 1))
+        g = PWLFunction.from_line(ParamInterval.closed(0, 3), F(0, 1))
+        with pytest.raises(ValueError):
+            pwl_sum(f, g)

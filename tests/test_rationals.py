@@ -31,6 +31,20 @@ def test_rational_parsing_rejects_floats_and_bools():
         rational(1.5)
     with pytest.raises(TypeError):
         rational(True)
+    with pytest.raises(TypeError):
+        rational(False)
+
+
+def test_rational_accepts_subclasses_past_the_exact_type_checks():
+    class Count(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    assert rational(Count(3)) == Fraction(3) and type(rational(Count(3))) is Fraction
+    half = Ratio(1, 2)
+    assert rational(half) is half
 
 
 def test_extended_total_order():
