@@ -2,8 +2,10 @@
 
 The backends answer independence queries; everything else (greedy optimum,
 basis exchanges, fundamental circuits, components, replacement elements,
-coloops) is built on top of them through :class:`MatroidView`, which restricts
-the ground set.  Every exchange test goes through :meth:`MatroidView.swap`.
+coloops) is built on top of them through :class:`MatroidView`, which always
+works on the whole ground set: the solvers count independence tests on the
+whole matroid, and a deleted element is one left out of a test's set.  Every
+exchange test goes through :meth:`MatroidView.swap`.
 
 Each backend answers a one-shot query with its ``independent`` kernel, one
 loop over the set, and takes a greedy basis of an ordered sequence with its
@@ -19,9 +21,9 @@ shared between threads; a :class:`GrowingRestriction` is mutable and belongs
 to its caller.  Graphic independence is an acyclicity check: one loop
 over the set with the disjoint-set find inlined on a fresh parent list,
 O(|S| alpha) per test; that is deliberate desk-scale machinery, not the
-asymptotically optimal dynamic structure.  Replacement scans sort the id-sorted
-non-basis elements by the bare weight key; the sort is stable, so ties stay in
-id order.
+asymptotically optimal dynamic structure.  Greedy runs and replacement scans
+sort the ids by the bare weight key; the sort is stable, so ties stay in id
+order.
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ Backend = Union[GraphicMatroid, UniformMatroid, DoubledMatroid]
 
 
 class ComponentPartition:
-    """Partition of the active elements by the relation "share a circuit"."""
+    """Partition of the elements by the relation "share a circuit"."""
 
     def __init__(self, comp_of: dict[int, int]):
         members: dict[int, set[int]] = {}
@@ -289,32 +291,21 @@ WeightAt = Callable[[int], Union[Fraction, int]]
 
 @dataclass(frozen=True)
 class MatroidView:
-    """A matroid restricted to an active subset; tests on a given set ignore it."""
+    """The exchange and greedy queries on the whole ground set of a backend.
+
+    Every query runs over the element ids ``0 .. size - 1``; a test on a
+    given set looks at that set alone.
+    """
 
     backend: Backend
-    active: frozenset[int]
-
-    @staticmethod
-    def full(backend: Backend) -> "MatroidView":
-        return MatroidView(backend, frozenset(range(backend.size)))
-
-    def delete(self, e: int) -> "MatroidView":
-        if e not in self.active:
-            raise ValueError(f"e{e} is not active")
-        return MatroidView(self.backend, self.active - {e})
-
-    def ground(self) -> list[int]:
-        return sorted(self.active)
 
     def is_independent(self, subset: Collection[int]) -> bool:
-        """Independence test of distinct elements; the caller guarantees
-        ``subset`` is active."""
+        """Independence test of distinct elements."""
         return self.backend.independent(subset)
 
     def swap(self, basis: frozenset[int], e: int, f: int) -> frozenset[int] | None:
         """``basis - e + f`` if ``e`` is in ``basis``, ``f`` is not, and the
-        exchange is independent, else None: one test, which ignores ``active``.
-        """
+        exchange is independent, else None: one test."""
         if e not in basis or f in basis:
             return None
         exchanged = basis - {e} | {f}
@@ -325,14 +316,14 @@ class MatroidView:
 
         The id tie-break makes the minimum basis unique even with repeated
         weights, so every solver in the package sees the same optimum.  The
-        stable sort of the id-sorted elements by bare key gives that order,
-        and the backend's ``greedy`` kernel takes the basis in one loop.
+        stable sort of the ids by bare key gives that order, and the
+        backend's ``greedy`` kernel takes the basis in one loop.
         """
-        return self.backend.greedy(sorted(sorted(self.active), key=weight_at))
+        return self.backend.greedy(sorted(range(self.backend.size), key=weight_at))
 
     def rank(self) -> int:
         builder = self.backend.builder()
-        return sum(1 for e in sorted(self.active) if builder.add(e))
+        return sum(1 for e in range(self.backend.size) if builder.add(e))
 
     def fundamental_circuit(self, basis: frozenset[int], f: int) -> frozenset[int]:
         """The unique circuit inside ``basis + f`` for a non-basis element."""
@@ -348,8 +339,7 @@ class MatroidView:
         The fundamental circuits of a single basis generate the whole
         relation, so uniting their members suffices.
         """
-        ground = self.ground()
-        index = {e: i for i, e in enumerate(ground)}
+        ground = range(self.backend.size)
         builder = self.backend.builder()
         basis = frozenset(e for e in ground if builder.add(e))
         dsu = _DisjointSet(len(ground))
@@ -357,9 +347,8 @@ class MatroidView:
             if f in basis:
                 continue
             for g in self.fundamental_circuit(basis, f):
-                dsu.union(index[f], index[g])
-        comp_of = {e: ground[dsu.find(index[e])] for e in ground}
-        return ComponentPartition(comp_of)
+                dsu.union(f, g)
+        return ComponentPartition({e: dsu.find(e) for e in ground})
 
     def replacement_element(
         self, basis: frozenset[int], e: int, weight_at: WeightAt
@@ -371,13 +360,13 @@ class MatroidView:
         """
         if e not in basis:
             raise ValueError(f"e{e} is not in the basis")
-        outside = sorted(sorted(self.active - basis), key=weight_at)
-        return next((r for r in outside if self.swap(basis, e, r)), None)
+        outside = (r for r in range(self.backend.size) if r not in basis)
+        return next((r for r in sorted(outside, key=weight_at) if self.swap(basis, e, r)), None)
 
     def coloop_scan(self) -> frozenset[int]:
         """Elements whose deletion drops the rank: the coloops of a
-        :class:`GrowingRestriction` fed the active set."""
-        return frozenset(GrowingRestriction(self, sorted(self.active)).coloops)
+        :class:`GrowingRestriction` fed the whole ground set."""
+        return frozenset(GrowingRestriction(self, range(self.backend.size)).coloops)
 
 
 class GrowingRestriction:

@@ -1,10 +1,11 @@
 """Brute-force reference solver and solution comparator.
 
 This module is the trust anchor: it never touches the sweep machinery in
-:mod:`.interdiction` (only the matroid oracle, the envelope primitives and
-the shared interdiction precondition), and it deliberately considers every
-element as an interdiction target in every window instead of exploiting the
-fact that only basis members matter.
+:mod:`.interdiction` or the greedy kernels (only the backends' builders, the
+envelope primitives and the shared interdiction precondition), and it
+deliberately considers every element as an interdiction target, deleted by
+leaving it out, in every window instead of exploiting the fact that only
+basis members matter.
 A disagreement with the fast solvers therefore localizes bugs in whichever
 structural shortcut they rely on.
 """
@@ -15,35 +16,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .matroid import MatroidView, WeightAt
+from .matroid import Backend, WeightAt
 from .parametric import MatroidInstance, checked_view
 from .pwl import envelope_of_lines, equality_point, pwl_equal, PWLFunction
 from .rationals import ParamInterval, extended
 from .solution import Solution, build_solution
 
 
-def _reference_min_basis(view: MatroidView, weight_at: WeightAt) -> frozenset[int]:
-    """The (weight, id)-minimum basis, grown by the backend's incremental
-    builder rather than the greedy kernel the solvers use."""
-    builder = view.backend.builder()
-    order = sorted(view.active, key=lambda e: (weight_at(e), e))
+def _reference_min_basis(backend: Backend, elements, weight_at: WeightAt) -> frozenset[int]:
+    """The (weight, id)-minimum basis of the restriction to ``elements``, grown
+    by the backend's incremental builder rather than the solvers' greedy kernel."""
+    builder = backend.builder()
+    order = sorted(elements, key=lambda e: (weight_at(e), e))
     return frozenset(e for e in order if builder.add(e))
 
 
 def interdict_at(inst: MatroidInstance, lam: Fraction) -> tuple[Fraction, int]:
     """Best single removal at one parameter value, by exhaustive re-solving.
 
-    Runs a fresh greedy optimum on every deleted instance; ties go to the
+    Grows a fresh optimum without each element in turn; ties go to the
     smallest element id.  Shares no state with the sweep solvers.
     """
     if not inst.interval.contains(lam):
         raise ValueError(f"{lam} outside {inst.interval}")
-    view = checked_view(inst)
+    checked_view(inst)
     weight_at = inst.weights_at(lam)
     best_value: Fraction | None = None
     best_element = -1
     for e in range(inst.m):
-        basis = _reference_min_basis(view.delete(e), weight_at)
+        others = (x for x in range(inst.m) if x != e)
+        basis = _reference_min_basis(inst.backend, others, weight_at)
         value = sum(weight_at(x) for x in basis)
         if best_value is None or value > best_value:
             best_value = value
@@ -60,7 +62,7 @@ def solve_bruteforce(inst: MatroidInstance) -> Solution:
     fresh greedy run at the window's interior point.  The window envelope
     ranges over all elements, not just basis members.
     """
-    view = checked_view(inst)
+    checked_view(inst)
     crossings = sorted(
         {
             pt.lam
@@ -82,7 +84,8 @@ def solve_bruteforce(inst: MatroidInstance) -> Solution:
         weight_at = inst.weights_at(rep)
         lines = []
         for e in range(inst.m):
-            basis = _reference_min_basis(view.delete(e), weight_at)
+            others = (x for x in range(inst.m) if x != e)
+            basis = _reference_min_basis(inst.backend, others, weight_at)
             lines.append((e, inst.basis_line(basis)))
         local = envelope_of_lines(lines, window)
         for j, piece in enumerate(local.pieces):

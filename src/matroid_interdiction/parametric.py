@@ -82,7 +82,7 @@ class MatroidInstance:
         return self.backend.size
 
     def view(self) -> MatroidView:
-        return MatroidView.full(self.backend)
+        return MatroidView(self.backend)
 
     def rank(self) -> int:
         return self.view().rank()

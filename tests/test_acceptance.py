@@ -37,6 +37,7 @@ from matroid_interdiction import (
 from matroid_interdiction.instances import dump_solution
 
 from randinst import random_graphic, random_rational, random_uniform, sample_window
+from subsets import subset_min_basis
 
 SEED = 20260808
 # Criterion 10's outputs, byte for byte: the canonical solution JSON and the
@@ -176,7 +177,8 @@ def test_criterion_04_replacement_identity(corpus):
             for e in basis:
                 replacement = view.replacement_element(basis, e, weight_at)
                 assert replacement is not None, inst.name
-                deleted_opt = view.delete(e).greedy_min_basis(weight_at)
+                others = (x for x in range(inst.m) if x != e)
+                deleted_opt = subset_min_basis(inst.backend, others, weight_at)
                 assert deleted_opt == basis - {e} | {replacement}, inst.name
                 checked += 1
     verdict(

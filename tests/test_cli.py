@@ -14,9 +14,12 @@ import pytest
 import matroid_interdiction
 import matroid_interdiction.interdiction as interdiction
 import matroid_interdiction.parametric as parametric
-from matroid_interdiction import solve_naive
+from matroid_interdiction import parametric_min_basis, pwl_equal, solve_naive
 from matroid_interdiction.cli import _overfull_window, build_parser, main
+from matroid_interdiction.instances import load_instance, parse_solution
 
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
+FIXTURES = sorted(path.name for path in FIXTURE_DIR.glob("*.json"))
 
 P2 = {
     "type": "graphic",
@@ -431,6 +434,24 @@ class TestDouble:
         assert payload["type"] == "doubled"
         sol = tmp_path / "sol.json"
         assert main(["solve", "--in", str(out), "--out", str(sol)]) == 0
+
+    @pytest.mark.parametrize(
+        "fixture", [name for name in FIXTURES if name != "bridge.json"])
+    def test_fixture_double_solves_alike_to_the_plain_optimum(self, fixture, tmp_path):
+        # Each line's identical twin replaces it at no cost, so the
+        # interdicted optimum of the double is the fixture's plain optimum.
+        doubled = tmp_path / "doubled.json"
+        assert main(["double", "--in", str(FIXTURE_DIR / fixture), "--out", str(doubled)]) == 0
+        written = []
+        for algorithm in ("naive", "intervals", "oracle"):
+            out = tmp_path / f"{algorithm}.json"
+            argv = ["solve", "--algorithm", algorithm, "--in", str(doubled), "--out", str(out)]
+            assert main(argv) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == written[2]
+        _, solution, _ = parse_solution(json.loads(written[0]))
+        plain = parametric_min_basis(load_instance(str(FIXTURE_DIR / fixture)))
+        assert pwl_equal(solution.value, plain.value)
 
     def test_double_then_solve_reproduces_plain_optimum(self, instance_file, tmp_path, c4p):
         out = tmp_path / "dbl.json"

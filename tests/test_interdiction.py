@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -29,16 +30,21 @@ from matroid_interdiction import (
 )
 
 from matroid_interdiction import interdiction, pwl
+from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.instances import dump_solution
 from matroid_interdiction.parametric import interior_crossings
 from matroid_interdiction.rationals import extended
 from randinst import (
+    parallel_classes,
+    prime_graphic,
+    primes,
     random_graphic,
     random_rational,
     random_uniform,
     sample_window,
     tangent_uniform,
 )
+from subsets import subset_min_basis
 from test_properties import window_states, windows_one_by_one
 
 
@@ -75,8 +81,8 @@ class TestRemovalValueFunctions:
 
     def test_bundles_cost_one_greedy_check_each(self, monkeypatch):
         # Coincident crossings take the lone-crossing path: one greedy run for
-        # the start basis and one check per bundle, all on the full view.  The
-        # removal sweep runs none: it starts from replacement scans.
+        # the start basis and one check per bundle.  The removal sweep runs
+        # none: it starts from replacement scans.
         inst = random_graphic(random.Random(109), n_range=(6, 6), m_max=12, coeff=2)
         greedy = MatroidView.greedy_min_basis
         calls = []
@@ -91,20 +97,19 @@ class TestRemovalValueFunctions:
         bundles = sum(1 for count in per_value.values() if count > 1)
         assert bundles > 0
         assert len(calls) == 1 + bundles
-        assert all(view.active == inst.view().active for view in calls)
 
     def test_matches_per_point_bruteforce(self):
         rng = random.Random(71)
         for _ in range(25):
             inst = random_graphic(rng, m_max=10) if rng.random() < 0.7 else random_uniform(rng, m_max=8)
             ys = removal_value_functions(inst, parametric_min_basis(inst))
-            view = inst.view()
             lo, hi = sample_window(inst)
             for _ in range(20):
                 lam = random_rational(rng, lo, hi)
                 weight_at = inst.weights_at(lam)
                 for e in range(inst.m):
-                    basis = view.delete(e).greedy_min_basis(weight_at)
+                    others = (x for x in range(inst.m) if x != e)
+                    basis = subset_min_basis(inst.backend, others, weight_at)
                     assert ys[e].value_at(lam) == sum(weight_at(x) for x in basis)
 
     def test_matches_builder_optimum_at_cuts_on_tied_instances(self):
@@ -123,16 +128,13 @@ class TestRemovalValueFunctions:
             points = all_equality_points(inst)
             bundled += len(points) > len({pt.lam for pt in points})
             ys = removal_value_functions(inst, parametric_min_basis(inst))
-            view = inst.view()
             for e, fn in ys.items():
-                deleted = view.delete(e)
+                others = [x for x in range(inst.m) if x != e]
                 probes = [*fn.cuts, *(ParamInterval(lo, hi).representative()
                                       for lo, hi, _, _ in fn.piece_windows())]
                 for lam in probes:
                     weight_at = inst.weights_at(lam)
-                    builder = inst.backend.builder()
-                    order = sorted(deleted.active, key=lambda x: (weight_at(x), x))
-                    basis = [x for x in order if builder.add(x)]
+                    basis = subset_min_basis(inst.backend, others, weight_at)
                     assert fn.value_at(lam) == sum(weight_at(x) for x in basis)
         assert bundled >= 20
 
@@ -424,6 +426,37 @@ class TestTangentFamily:
         dumped = [json.dumps(dump_solution(inst, solve(inst), {}), sort_keys=True)
                   for solve in (solve_naive, solve_intervals)]
         assert dumped[0] == dumped[1]
+
+
+def three_solver_dumps(inst: MatroidInstance) -> list[str]:
+    return [json.dumps(dump_solution(inst, solve(inst), {}), sort_keys=True)
+            for solve in (solve_naive, solve_intervals, solve_bruteforce)]
+
+
+class TestPrimeDenominators:
+    """Every coefficient over its own prime: a wide common denominator."""
+
+    def test_three_solvers_write_the_same_solution_and_every_check_passes(self):
+        inst = prime_graphic(random.Random(0), n=10, m=20)
+        assert inst.scaled.scale == prod(primes(40))
+        assert inst.scaled.scale.bit_length() == 227
+        dumped = three_solver_dumps(inst)
+        assert dumped[0] == dumped[1] == dumped[2]
+        assert [name for name, ok, _ in _run_checks(inst) if not ok] == []
+
+
+class TestParallelClasses:
+    """A path of multi-edges: the direct sum of rank-one uniform matroids."""
+
+    @pytest.mark.parametrize("sizes", [(3, 4, 5), (4, 4, 4, 4, 4)])
+    def test_three_solvers_write_the_same_solution_and_every_check_passes(self, sizes):
+        inst = parallel_classes(random.Random(0), sizes)
+        assert (inst.m, inst.rank()) == (sum(sizes), len(sizes))
+        dumped = three_solver_dumps(inst)
+        assert dumped[0] == dumped[1] == dumped[2]
+        # Among the checks: the 2km candidate bound and at most k - 1 slope
+        # changes between consecutive candidates.
+        assert [name for name, ok, _ in _run_checks(inst) if not ok] == []
 
 
 class TestOneEnvelopeBuild:

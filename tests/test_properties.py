@@ -5,12 +5,12 @@ Small graphic, uniform and doubled instances with weight coefficients in
 crossings, parallel and identical weight lines are the common case, over
 bounded, half-bounded and unbounded intervals.  The three solvers must agree
 exactly, the integer order kernel must agree with ``Fraction`` arithmetic,
-the incremental candidate filter (its lone marks included) and the integer
-line envelope must agree with plain recomputations, and every ``check``
-self-check must pass.  The
-integer continuity check, crossing order and crossing grouping are also run
-on coefficients up to 2**80 with values 2**-70 apart, and the crossing order
-on values about as close as its integer key can tell apart, against
+the incremental candidate filter (its lone marks included) must agree with a
+recomputation by rank tests, the integer line envelope with a plain one, and
+every ``check`` self-check must pass.  The integer continuity check,
+crossing order and crossing grouping are also run on coefficients up to
+2**80 with values 2**-70 apart, and the crossing order on values about as
+close as its integer key can tell apart, against
 ``Fraction`` arithmetic; the crossings at one value must share one
 ``Fraction``.  The bundle order is checked against the exact perturbed
 crossing positions, the schedule's recorded walk against that order, its
@@ -19,10 +19,10 @@ several swaps at one value, and every exchange answer
 against a plain independence test.  Each backend's one-loop independence
 and greedy kernels are checked against its incremental builder, every
 replacement scan against the cheapest exchange by (key, id) under both key
-kinds, the coloop scan against the rank-drop definition on restrictions of
-multigraphs with loops and parallel edges and of uniform and doubled
-backends, the coloops, basis and flags of a restriction grown in any order
-against the same definition and a fresh builder run, the single-pass
+kinds, the coloop scan against the rank-drop definition on multigraphs with
+loops and parallel edges and on uniform and doubled backends, the coloops,
+basis and flags of a restriction grown in any order against the same
+definition and a fresh builder run, the single-pass
 envelope of piecewise-linear functions against line envelopes per window
 joined by :func:`stitch`, the window solver, which carries a basis across
 candidate values and builds one envelope, against one greedy run and one line
@@ -90,6 +90,7 @@ from matroid_interdiction.parametric import (
 )
 from matroid_interdiction.rationals import extended
 from matroid_interdiction.solution import Solution, build_solution
+from subsets import subset_min_basis, subset_rank
 
 INTEGER_COEFF = st.sampled_from(range(-2, 3))
 # Mixed denominators make the common scale of the integer kernel 6, not 1.
@@ -309,12 +310,25 @@ def test_every_structural_check_passes(inst):
     assert not failed
 
 
+def rank_drop_coloops(backend, elements) -> set[int]:
+    """The coloops of the restriction to ``elements`` by definition: the ``g``
+    whose deletion drops its rank."""
+    elements = set(elements)
+    rank = subset_rank(backend, elements)
+    return {g for g in elements if subset_rank(backend, elements - {g}) < rank}
+
+
 def recomputed_candidates(inst: MatroidInstance, crossings) -> list[CandidateEntry]:
-    """The candidate filter with components and ranks recomputed per insertion,
-    and each crossing's lone mark from a count of the crossings per value."""
+    """The candidate filter with ranks and coloops recomputed per insertion by
+    the rank-drop definition, and each crossing's lone mark from a count of
+    the crossings per value.
+
+    A singleton component of a restriction is a coloop or a loop, and a loop
+    never joins another component, so "a singleton component joins f's" is
+    "some coloop before the insertion is no coloop after it"."""
     per_value = Counter(pt.lam for pt in crossings)
     weight = inst.weights_at(start_representative(inst.interval, crossings))
-    active = [
+    grown = [
         {
             f
             for f in range(inst.m)
@@ -324,20 +338,16 @@ def recomputed_candidates(inst: MatroidInstance, crossings) -> list[CandidateEnt
         }
         for e in range(inst.m)
     ]
-    comps = [MatroidView(inst.backend, frozenset(grown)).components() for grown in active]
+    coloops = [rank_drop_coloops(inst.backend, restriction) for restriction in grown]
     out = []
     for pt in crossings:
         e, f = pt.lighter_before, pt.lighter_after
-        before = comps[e]
-        rank_before = MatroidView(inst.backend, frozenset(active[e])).rank()
-        active[e].add(f)
-        after = MatroidView(inst.backend, frozenset(active[e])).components()
-        comps[e] = after
-        by_rank = MatroidView(inst.backend, frozenset(active[e])).rank() > rank_before
-        by_singleton = any(
-            g != f and g in before.comp_of and before.is_singleton(g)
-            for g in after.members[after.component_of(f)]
-        )
+        rank_before = subset_rank(inst.backend, grown[e])
+        grown[e].add(f)
+        by_rank = subset_rank(inst.backend, grown[e]) > rank_before
+        after = rank_drop_coloops(inst.backend, grown[e])
+        by_singleton = bool(coloops[e] - after)
+        coloops[e] = after
         if by_rank or by_singleton:
             out.append(CandidateEntry(pt, by_rank, by_singleton, per_value[pt.lam] == 1))
     return out
@@ -679,10 +689,10 @@ def test_bundle_order_is_the_perturbed_crossing_order(case):
 def test_swap_is_one_independence_test(inst, data):
     view = inst.view()
     rank_of = data.draw(st.permutations(range(inst.m)))
-    # A basis of the full view, or of a deleted view, as in the oracle.
+    # A basis of the whole matroid, or one without an element, as in the oracle.
     deleted = data.draw(st.one_of(st.none(), st.integers(0, inst.m - 1)))
-    source = view if deleted is None else view.delete(deleted)
-    basis = source.greedy_min_basis(rank_of.__getitem__)
+    basis = subset_min_basis(
+        inst.backend, (x for x in range(inst.m) if x != deleted), rank_of.__getitem__)
     for e, f in product(range(inst.m), repeat=2):
         exchanged = basis - {e} | {f}
         expected = (
@@ -779,18 +789,13 @@ def builder_greedy(backend, order) -> frozenset[int]:
 @given(KERNEL_BACKENDS, st.sampled_from(sorted(KEYS)), st.data())
 def test_greedy_kernel_matches_the_builder(backend, kind, data):
     m = backend.size
-    active = set(data.draw(st.sets(st.integers(0, m - 1)) if m else st.just(set())))
     keys = data.draw(st.lists(KEYS[kind], min_size=m, max_size=m))
-    if isinstance(backend, DoubledMatroid) and active:
-        e = min(active)
-        active.add(backend.twin(e))  # both twins of a pair, often tied
-        if data.draw(st.booleans()):
-            keys[backend.twin(e)] = keys[e]
-    view = MatroidView(backend, frozenset(active))
-    expected = builder_greedy(backend, sorted(active, key=lambda e: (keys[e], e)))
-    assert view.greedy_min_basis(keys.__getitem__) == expected
-    # Any order, not only a sorted one.
-    order = data.draw(st.permutations(sorted(active)))
+    if isinstance(backend, DoubledMatroid) and m and data.draw(st.booleans()):
+        keys[backend.twin(0)] = keys[0]  # both twins of a pair tied
+    expected = subset_min_basis(backend, range(m), keys.__getitem__)
+    assert MatroidView(backend).greedy_min_basis(keys.__getitem__) == expected
+    # Any subset in any order, not only the sorted ground set.
+    order = data.draw(st.lists(st.integers(0, m - 1), unique=True) if m else st.just([]))
     assert backend.greedy(order) == builder_greedy(backend, order)
 
 
@@ -802,15 +807,10 @@ def test_greedy_kernel_matches_the_builder(backend, kind, data):
         st.builds(DoubledMatroid, st.one_of(
             graphic_backends(5, bridges_ok=True), uniform_backends(4, coloops_ok=True))),
     ),
-    st.data(),
 )
-def test_coloop_scan_is_the_rank_drop_definition(backend, data):
-    everything = frozenset(range(backend.size))
-    restriction = st.frozensets(st.sampled_from(sorted(everything)))
-    active = data.draw(st.one_of(st.just(everything), restriction))
-    view = MatroidView(backend, active)
-    rank = view.rank()
-    assert view.coloop_scan() == {e for e in active if view.delete(e).rank() < rank}
+def test_coloop_scan_is_the_rank_drop_definition(backend):
+    expected = rank_drop_coloops(backend, range(backend.size))
+    assert MatroidView(backend).coloop_scan() == expected
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -829,14 +829,12 @@ def test_growing_restriction_keeps_the_coloops_in_any_insertion_order(backend, d
         n = backend.inner.size  # every inner element, only some of the twins
         ground = [*range(n), *data.draw(st.sets(st.integers(n, 2 * n - 1)))]
     order = data.draw(st.permutations(list(ground)))
-    view = MatroidView.full(backend)
-    grower = GrowingRestriction(view)
+    grower = GrowingRestriction(MatroidView(backend))
     rank, coloops = 0, set()
     for i, f in enumerate(order):
         grew, merged = grower.add(f)
-        inserted = MatroidView(backend, frozenset(order[: i + 1]))
-        new_rank = inserted.rank()
-        new_coloops = {e for e in inserted.active if inserted.delete(e).rank() < new_rank}
+        new_rank = subset_rank(backend, order[: i + 1])
+        new_coloops = rank_drop_coloops(backend, order[: i + 1])
         assert grower.coloops == new_coloops
         assert grower.basis == builder_greedy(backend, order[: i + 1])
         assert (grew, merged) == (new_rank > rank, bool(coloops - new_coloops))
@@ -1013,7 +1011,7 @@ def deleted_bases_sweep(
     inst: MatroidInstance, schedule: BasisSchedule
 ) -> dict[int, PWLFunction]:
     """The removal sweep as it was before it kept one replacement per member:
-    one deleted basis per member, from a greedy run on the deleted view, each
+    one deleted basis per member, from a builder run without that member, each
     offered the exchange at every crossing it holds e but not f of."""
     basis = schedule.bases[0]
     if not basis:
@@ -1021,7 +1019,10 @@ def deleted_bases_sweep(
     view = inst.view()
     _, a, b = inst.scaled
     order = inst.order_at(start_representative(inst.interval, schedule.points))
-    deleted_bases = {g: view.delete(g).greedy_min_basis(order) for g in basis}
+    deleted_bases = {
+        g: subset_min_basis(inst.backend, (x for x in range(inst.m) if x != g), order)
+        for g in basis
+    }
     sums = {g: inst.basis_sums(bg) for g, bg in deleted_bases.items()}
     main_sums = inst.basis_sums(basis)
 
