@@ -8,7 +8,6 @@ arithmetic is exact rational.
 
 from .matroid import (
     ColoopError,
-    ComponentPartition,
     DoubledMatroid,
     GraphicMatroid,
     MatroidView,
@@ -61,7 +60,6 @@ __all__ = [
     "CoincidentEqualityPointsWarning",
     "ColoopError",
     "ComparisonReport",
-    "ComponentPartition",
     "DoubledMatroid",
     "EqualityPoint",
     "ExtendedRational",

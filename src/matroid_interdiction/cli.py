@@ -65,11 +65,11 @@ _SOLVERS = {
 
 def _load(args) -> MatroidInstance:
     path = args.infile
-    fmt = getattr(args, "format", "auto")
+    fmt = args.format
     if fmt == "auto":
         fmt = "dimacs" if path.endswith((".dimacs", ".col")) else "json"
     if fmt == "dimacs":
-        lo, _, hi = getattr(args, "interval", "-10:10").partition(":")
+        lo, _, hi = args.interval.partition(":")
         window = ParamInterval(extended(lo.strip()), extended(hi.strip()))
         inst = read_dimacs(read_text(path), window, name=path.rsplit("/", 1)[-1])
     else:

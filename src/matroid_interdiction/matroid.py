@@ -1,11 +1,12 @@
 """Matroid oracles with graphic, uniform and twinned backends.
 
 The backends answer independence queries; everything else (greedy optimum,
-basis exchanges, fundamental circuits, components, replacement elements,
-coloops) is built on top of them through :class:`MatroidView`, which always
-works on the whole ground set: the solvers count independence tests on the
-whole matroid, and a deleted element is one left out of a test's set.  Every
-exchange test goes through :meth:`MatroidView.swap`.
+basis exchanges, fundamental circuits, replacement elements, coloops, and the
+component partition as a frozenset of frozensets of element ids) is built on
+top of them through :class:`MatroidView`, which always works on the whole
+ground set: the solvers count independence tests on the whole matroid, and a
+deleted element is one left out of a test's set.  Every exchange test goes
+through :meth:`MatroidView.swap`.
 
 Each backend answers a one-shot query with its ``independent`` kernel, one
 loop over the set, and takes a greedy basis of an ordered sequence with its
@@ -247,44 +248,6 @@ class _DoubledBuilder:
 Backend = Union[GraphicMatroid, UniformMatroid, DoubledMatroid]
 
 
-class ComponentPartition:
-    """Partition of the elements by the relation "share a circuit"."""
-
-    def __init__(self, comp_of: dict[int, int]):
-        members: dict[int, set[int]] = {}
-        for e, c in comp_of.items():
-            members.setdefault(c, set()).add(e)
-        # canonical component id: the smallest member
-        self.comp_of: dict[int, int] = {}
-        self.members: dict[int, frozenset[int]] = {}
-        for group in members.values():
-            cid = min(group)
-            self.members[cid] = frozenset(group)
-            for e in group:
-                self.comp_of[e] = cid
-        self.singletons: frozenset[int] = frozenset(
-            cid for cid, group in self.members.items() if len(group) == 1
-        )
-
-    def component_of(self, e: int) -> int:
-        return self.comp_of[e]
-
-    def same_component(self, e: int, f: int) -> bool:
-        return self.comp_of[e] == self.comp_of[f]
-
-    def is_singleton(self, e: int) -> bool:
-        return self.comp_of[e] in self.singletons
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComponentPartition):
-            return NotImplemented
-        return self.comp_of == other.comp_of
-
-    def __repr__(self) -> str:
-        groups = sorted(tuple(sorted(g)) for g in self.members.values())
-        return f"ComponentPartition({groups})"
-
-
 # Sort keys per element: exact weights, or integer keys in the same order.
 WeightAt = Callable[[int], Union[Fraction, int]]
 
@@ -333,11 +296,13 @@ class MatroidView:
             raise ValueError(f"basis + e{f} is independent; no circuit exists")
         return frozenset([f, *(g for g in basis if self.swap(basis, g, f))])
 
-    def components(self) -> ComponentPartition:
-        """The share-a-circuit partition, from one basis.
+    def components(self) -> frozenset[frozenset[int]]:
+        """The share-a-circuit partition of the element ids, from one basis.
 
         The fundamental circuits of a single basis generate the whole
-        relation, so uniting their members suffices.
+        relation, so uniting their members suffices.  No solver calls it; it
+        remains because ``perfbench/tracer.py`` looks it up by name, and goes
+        once the benchmark drops that target (ROADMAP item 5).
         """
         ground = range(self.backend.size)
         builder = self.backend.builder()
@@ -348,7 +313,10 @@ class MatroidView:
                 continue
             for g in self.fundamental_circuit(basis, f):
                 dsu.union(f, g)
-        return ComponentPartition({e: dsu.find(e) for e in ground})
+        members: dict[int, set[int]] = {}
+        for e in ground:
+            members.setdefault(dsu.find(e), set()).add(e)
+        return frozenset(map(frozenset, members.values()))
 
     def replacement_element(
         self, basis: frozenset[int], e: int, weight_at: WeightAt

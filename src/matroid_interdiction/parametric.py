@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, groupby
-from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .matroid import Backend, ColoopError, MatroidView
-from .pwl import EqualityPoint, LinearFn, PWLFunction
+from .pwl import EqualityPoint, LinearFn, PWLFunction, common_scale, scaled_line
 from .rationals import ParamInterval, interior_point, extended
 
 
@@ -96,21 +95,11 @@ class MatroidInstance:
         """The weight lines over their least common denominator ``scale``.
 
         Computed on first use, not at construction: O(m) integers per
-        instance.  A numerator already over ``scale`` is kept as it is, not
-        copied into an equal product.
+        instance.
         """
-        weights = self.weights
-        scale = lcm(*(d for w in weights for d in (w.a.denominator, w.b.denominator)))
-
-        def scaled(c: Fraction) -> int:
-            d = c.denominator
-            return c.numerator if d == scale else c.numerator * (scale // d)
-
-        return ScaledLines(
-            scale,
-            tuple(scaled(w.a) for w in weights),
-            tuple(scaled(w.b) for w in weights),
-        )
+        scale = common_scale(self.weights)
+        pairs = [scaled_line(w, scale) for w in self.weights]
+        return ScaledLines(scale, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
 
     def order_at(self, lam: Fraction) -> Callable[[int], int]:
         """Integer sort keys that order the elements exactly as ``weights_at(lam)``.

@@ -304,12 +304,21 @@ def upper_hull(
         labels.append(label)
 
 
-def _common_scale(lines: Iterable[LinearFn]) -> int:
+def common_scale(lines: Iterable[LinearFn]) -> int:
+    """The lcm of every coefficient denominator of ``lines`` (1 for none)."""
     return lcm(*{d for line in lines for d in (line.a.denominator, line.b.denominator)})
 
 
-def _scaled(line: LinearFn, scale: int) -> tuple[int, int]:
+def scaled_line(line: LinearFn, scale: int) -> tuple[int, int]:
+    """The coefficients of ``line`` times ``scale``, a multiple of their
+    denominators, as integers.
+
+    A line already over ``scale`` (every integer line over 1) gives its own
+    numerators, not equal products: a cached scaling then holds no new ints.
+    """
     a, b = line.a, line.b
+    if a.denominator == b.denominator == scale:
+        return a.numerator, b.numerator
     return a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
 
 
@@ -327,13 +336,13 @@ def envelope_of_lines(
         raise ValueError("need at least one line")
     if not window.is_proper:
         raise ValueError(f"degenerate window {window}")
-    scale = _common_scale(line for _, line in lines)
+    scale = common_scale(line for _, line in lines)
     lo = window.lo.value if window.lo.is_finite else None
     hi = window.hi.value if window.hi.is_finite else None
     cuts: list[Fraction] = []
     pieces: list[LinearFn] = []
     labels: list[int] = []
-    scaled = [(*_scaled(line, scale), label, line) for label, line in lines]
+    scaled = [(*scaled_line(line, scale), label, line) for label, line in lines]
     upper_hull(scaled, lo, hi, cuts, pieces, labels, scale)
     return PWLFunction.build(window, cuts, pieces, labels)
 
@@ -376,8 +385,8 @@ def envelope_of_pwl(
             owners.setdefault(cut.as_integer_ratio(), (cut, []))[1].append(j)
         spans.append((label, fn.pieces[start : stop + 1]))
     distinct = {id(line): line for _, span in spans for line in span}
-    scale = _common_scale(distinct.values())
-    scaled = {key: _scaled(line, scale) for key, line in distinct.items()}
+    scale = common_scale(distinct.values())
+    scaled = {key: scaled_line(line, scale) for key, line in distinct.items()}
     # steps[j] yields input j's pieces, scaled; current[j] is the one in force.
     steps = [
         iter([(*scaled[id(line)], label, line) for line in span])

@@ -155,25 +155,28 @@ class TestComponents:
         backend = GraphicMatroid(
             5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2))
         )
-        parts = MatroidView(backend).components()
-        assert parts.members[parts.component_of(0)] == {0, 1, 2}
-        assert parts.members[parts.component_of(3)] == {3, 4, 5}
+        assert MatroidView(backend).components() == {
+            frozenset({0, 1, 2}),
+            frozenset({3, 4, 5}),
+        }
 
     def test_forest_has_only_singletons(self):
         backend = GraphicMatroid(3, ((0, 1), (1, 2)))
-        parts = MatroidView(backend).components()
-        assert parts.is_singleton(0) and parts.is_singleton(1)
-        assert not parts.same_component(0, 1)
+        assert MatroidView(backend).components() == {frozenset({0}), frozenset({1})}
 
     def test_uniform_all_in_one_component(self):
-        parts = MatroidView(UniformMatroid(4, 2)).components()
-        assert parts.members[parts.component_of(0)] == {0, 1, 2, 3}
+        assert MatroidView(UniformMatroid(4, 2)).components() == {frozenset({0, 1, 2, 3})}
 
     def test_self_loop_is_its_own_component(self):
         backend = GraphicMatroid(2, ((0, 1), (0, 1), (1, 1)))
-        parts = MatroidView(backend).components()
-        assert parts.same_component(0, 1)
-        assert parts.is_singleton(2)
+        assert MatroidView(backend).components() == {frozenset({0, 1}), frozenset({2})}
+
+    def test_doubled_path_pairs_each_edge_with_its_twin(self):
+        backend = DoubledMatroid(GraphicMatroid(3, ((0, 1), (1, 2))))
+        assert MatroidView(backend).components() == {
+            frozenset({0, 2}),
+            frozenset({1, 3}),
+        }
 
 
 class TestReplacementElement:

@@ -10,11 +10,18 @@ from matroid_interdiction import (
     LinearFn,
     MatroidInstance,
     ParamInterval,
+    UniformMatroid,
     all_equality_points,
     parametric_min_basis,
 )
 
-from randinst import random_graphic, random_rational, random_uniform, sample_window
+from randinst import (
+    prime_graphic,
+    random_graphic,
+    random_rational,
+    random_uniform,
+    sample_window,
+)
 
 
 class TestAllEqualityPoints:
@@ -140,3 +147,37 @@ class TestParametricMinBasis:
                 weight_at = inst.weights_at(lam)
                 basis = view.greedy_min_basis(weight_at)
                 assert sched.value.value_at(lam) == sum(weight_at(e) for e in basis)
+
+
+def mixed_uniform() -> MatroidInstance:
+    """U(2, 5) with integer coefficients beside ``p/q`` ones over 2, 3, 4, 6, 9."""
+    coefficients = (
+        (3, Fraction(-1, 2)),
+        (Fraction(5, 6), -2),
+        (0, 0),
+        (Fraction(-7, 4), Fraction(2, 9)),
+        (1, Fraction(1, 3)),
+    )
+    weights = tuple(LinearFn(a, b) for a, b in coefficients)
+    return MatroidInstance(UniformMatroid(5, 2), weights, ParamInterval.closed(-10, 10))
+
+
+class TestScaledLines:
+    @pytest.mark.parametrize(
+        "inst",
+        [prime_graphic(random.Random(0), n=10, m=20), mixed_uniform()],
+        ids=["prime_graphic", "mixed_uniform"],
+    )
+    def test_each_scaled_line_is_its_weight(self, inst):
+        _, a, b = inst.scaled
+        for e in range(inst.m):
+            assert inst.sums_line((a[e], b[e])) == inst.weights[e]
+
+    def test_integer_lines_share_their_numerators(self):
+        # An instance keeps its scaling, so new ints would cost memory per instance.
+        weights = (LinearFn(10**6, -(10**6) + 1), LinearFn(-777, 9999))
+        inst = MatroidInstance(UniformMatroid(2, 1), weights, ParamInterval.closed(-10, 10))
+        scale, a, b = inst.scaled
+        assert scale == 1
+        for e, w in enumerate(weights):
+            assert a[e] is w.a.numerator and b[e] is w.b.numerator
