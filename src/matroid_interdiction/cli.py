@@ -38,7 +38,6 @@ from .interdiction import (
     find_candidates,
     naive_solution,
     removal_gains,
-    removal_value_functions,
     solve_naive,
     window_solution,
 )
@@ -140,7 +139,6 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
     schedule = parametric_min_basis(inst)
     gains = removal_gains(inst, schedule)
     naive = naive_solution(inst, schedule, gains)
-    removal = removal_value_functions(inst, schedule, gains)
     candidates = find_candidates(inst, schedule.points)
     intervals = window_solution(inst, candidates)
     brute = solve_bruteforce(inst)
@@ -170,8 +168,10 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
 
     lambdas = candidates.lambdas()
     candidate_set = set(lambdas)
+    # A removal optimum is the plain optimum plus the element's gain, so the
+    # cuts beyond the plain optimum's are exactly the gain's own.
     missing = [c for c in schedule.value.cuts if c not in candidate_set]
-    for fn in removal.values():
+    for fn in gains.values():
         missing += [c for c in fn.cuts if c not in candidate_set]
     checks.append(
         (
@@ -214,7 +214,7 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
     swap_ok = True
     detail = ""
     for cut, (out, in_) in zip(schedule.cuts, schedule.swaps):
-        if removal[out].value_at(cut) != removal[in_].value_at(cut):
+        if gains[out].value_at(cut) != gains[in_].value_at(cut):  # both plus w(cut)
             swap_ok = False
             detail = f"at {cut}: e{out} vs e{in_}"
             break

@@ -169,6 +169,8 @@ def dump_instance(inst: MatroidInstance) -> dict:
         }
     if isinstance(backend, DoubledMatroid):
         half = backend.inner.size
+        if inst.weights[:half] != inst.weights[half:]:
+            raise ValueError("cannot serialize a doubled instance whose twins differ in weight")
         inner = MatroidInstance(
             backend.inner, inst.weights[:half], inst.interval, inst.name
         )
@@ -196,8 +198,9 @@ def load_instance(path: str) -> MatroidInstance:
 
 
 def save_instance(inst: MatroidInstance, path: str):
+    data = dump_instance(inst)  # a refusal creates no file
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(dump_instance(inst), handle, indent=2)
+        json.dump(data, handle, indent=2)
         handle.write("\n")
 
 

@@ -11,7 +11,9 @@ assembler over artifacts that are built once per instance and passed down:
   plain one, a gain of 0), so a crossing records only the members it
   touches.  Only a crossing of two non-basis elements runs independence
   tests, one per member whose replacement is the lighter-before one.
-  :func:`removal_value_functions` gives the removal optima themselves.
+  :func:`removal_value_functions` gives the removal optima themselves, the
+  plain optimum plus each gain; no solver or CLI verb needs them, since
+  ``check`` reads its coverage and swap checks off the gains too.
 * :func:`window_solution` solves each window between the crossings that
   :func:`find_candidates` keeps (rank growth or singleton-component
   absorption in growing restrictions, one :class:`.GrowingRestriction` per
@@ -32,7 +34,7 @@ collapse onto the plain optimum -- a handy self-test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, Sequence
@@ -148,22 +150,18 @@ def _lasting_members(schedule: BasisSchedule) -> frozenset[int]:
 
 
 def removal_value_functions(
-    inst: MatroidInstance,
-    schedule: BasisSchedule,
-    gains: dict[int, PWLFunction] | None = None,
+    inst: MatroidInstance, schedule: BasisSchedule
 ) -> dict[int, PWLFunction]:
     """For every element, the optimum of the instance with it removed.
 
     That is the plain optimum ``schedule.value`` plus the element's
-    :func:`removal_gains`, which ``gains`` may hand over if they were
-    already walked for ``schedule``.  The elements that share the zero gain
-    share ``schedule.value`` itself.  Refuses rank 0.
+    :func:`removal_gains`.  The elements that share the zero gain share
+    ``schedule.value`` itself.  No solver or CLI verb calls it: they read
+    the gains.  Refuses rank 0.
     """
-    if gains is None:
-        gains = removal_gains(inst, schedule)
     members = _lasting_members(schedule)
     return {e: pwl_sum(schedule.value, gain) if e in members else schedule.value
-            for e, gain in gains.items()}
+            for e, gain in removal_gains(inst, schedule).items()}
 
 
 def solve_naive(inst: MatroidInstance) -> Solution:
@@ -324,10 +322,10 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
                  for e, r in replacements.items()]
         # Removing any element outside the basis leaves the plain optimum;
         # the smallest such id stands for all of them in the hull's
-        # tie-break, so labels match a sweep over every element.
-        outside = next((x for x in range(inst.m) if x not in basis), None)
-        if outside is not None:
-            lines.append((sa, sb, outside, None))
+        # tie-break, so labels match a sweep over every element.  One
+        # exists: a basis of the whole ground set would be all coloops.
+        outside = next(x for x in range(inst.m) if x not in basis)
+        lines.append((sa, sb, outside, None))
         run_hi = hi.value if hi.is_finite else None
         upper_hull(lines, run_lo, run_hi, cuts, pieces, labels, scale)
         if i < len(firsts):
@@ -391,9 +389,6 @@ def doubled_graphic_instance(inst: MatroidInstance) -> MatroidInstance:
     """
     if not isinstance(inst.backend, GraphicMatroid):
         raise TypeError("parallel-copy doubling requires a graphic backend")
-    backend = GraphicMatroid(
-        inst.backend.node_count, inst.backend.edges + inst.backend.edges
-    )
-    weights = inst.weights + inst.weights
-    name = f"{inst.name}-doubled" if inst.name else "doubled"
-    return MatroidInstance(backend, weights, inst.interval, name)
+    edges = inst.backend.edges
+    return replace(doubled_instance(inst),
+                   backend=GraphicMatroid(inst.backend.node_count, edges + edges))

@@ -195,9 +195,8 @@ class PWLFunction:
         return _merged(domain, cuts, pieces, labels)
 
     @staticmethod
-    def from_line(domain: ParamInterval, line: LinearFn, label: int | None = None) -> "PWLFunction":
-        labels = (label,) if label is not None else None
-        return PWLFunction(domain, (), (line,), labels)
+    def from_line(domain: ParamInterval, line: LinearFn) -> "PWLFunction":
+        return PWLFunction(domain, (), (line,))
 
     def piece_index(self, lam: Fraction) -> int:
         if not self.domain.contains(lam):

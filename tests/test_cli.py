@@ -14,12 +14,22 @@ import pytest
 import matroid_interdiction
 import matroid_interdiction.interdiction as interdiction
 import matroid_interdiction.parametric as parametric
-from matroid_interdiction import parametric_min_basis, pwl_equal, solve_naive
+from matroid_interdiction import (
+    LinearFn,
+    PWLFunction,
+    parametric_min_basis,
+    pwl_equal,
+    solve_intervals,
+    solve_naive,
+)
 from matroid_interdiction.cli import _overfull_window, build_parser, main
 from matroid_interdiction.instances import load_instance, parse_solution
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
 FIXTURES = sorted(path.name for path in FIXTURE_DIR.glob("*.json"))
+
+# `check` pads every name to its longest, the doubled-instance check's.
+CHECK_WIDTH = len("doubled instance reproduces the optimal value function")
 
 P2 = {
     "type": "graphic",
@@ -327,6 +337,66 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "first divergence at" in out
+
+    def test_uncovered_gain_cut_fails_the_coverage_check(
+        self, instance_file, capsys, monkeypatch
+    ):
+        import matroid_interdiction.cli as cli_module
+
+        # The plain optimum is 0 throughout; removing element 0 leaves the
+        # lighter of 1 + lam and 2 - lam, so only its gain bends, at 1/2.
+        crossing = {
+            "type": "uniform",
+            "name": "bend",
+            "m": 3,
+            "k": 1,
+            "weights": [
+                {"a": "0", "b": "0"}, {"a": "1", "b": "1"}, {"a": "2", "b": "-1"},
+            ],
+            "interval": {"lo": "0", "hi": "1"},
+        }
+
+        def without_half(inst, crossings):
+            found = interdiction.find_candidates(inst, crossings)
+            return type(found)(tuple(
+                entry for entry in found.entries if entry.point.lam != Fraction(1, 2)
+            ))
+
+        monkeypatch.setattr(cli_module, "find_candidates", without_half)
+        monkeypatch.setattr(
+            cli_module, "window_solution", lambda inst, _: solve_intervals(inst)
+        )
+        assert main(["check", "--in", instance_file(crossing)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        name = "candidates cover every slope change"
+        assert f"{name:<{CHECK_WIDTH}}  FAIL  (uncovered: 1/2)" in lines
+
+    def test_disagreeing_swap_partners_fail_their_check(
+        self, instance_file, capsys, monkeypatch
+    ):
+        import matroid_interdiction.cli as cli_module
+
+        # C4P's one swap is e3 -> e2 at 3/2; e3 is in the start basis.
+        def shifted_gains(inst, schedule):
+            gains = dict(interdiction.removal_gains(inst, schedule))
+            own = gains[3]
+            gains[3] = PWLFunction.build(
+                own.domain, own.cuts, [LinearFn(p.a + 1, p.b) for p in own.pieces]
+            )
+            return gains
+
+        def naive_solution(inst, schedule, _):
+            return interdiction.naive_solution(
+                inst, schedule, interdiction.removal_gains(inst, schedule)
+            )
+
+        monkeypatch.setattr(cli_module, "removal_gains", shifted_gains)
+        monkeypatch.setattr(cli_module, "naive_solution", naive_solution)
+        assert main(["check", "--in", instance_file(C4P)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        name = "swap partners agree at every breakpoint"
+        assert f"{name:<{CHECK_WIDTH}}  FAIL  (at 3/2: e3 vs e2)" in lines
+        assert sum("FAIL" in line for line in lines) == 1
 
 
 class TestPlot:

@@ -5,6 +5,8 @@ import pytest
 from matroid_interdiction import (
     DoubledMatroid,
     GraphicMatroid,
+    LinearFn,
+    MatroidInstance,
     UniformMatroid,
     solve_naive,
 )
@@ -16,6 +18,7 @@ from matroid_interdiction.instances import (
     parse_instance,
     parse_solution,
     read_dimacs,
+    save_instance,
 )
 from matroid_interdiction.rationals import ParamInterval
 
@@ -63,11 +66,25 @@ class TestInstanceParsing:
         assert parse_instance(dump_instance(inst)) == inst
 
     def test_doubled_round_trip(self):
-        doubled = {"type": "doubled", "name": "", "inner": dict(GRAPHIC)}
-        inst = parse_instance(doubled)
-        assert isinstance(inst.backend, DoubledMatroid)
-        assert inst.m == 8
-        assert parse_instance(dump_instance(inst)) == inst
+        for inner, m in ((GRAPHIC, 8), (UNIFORM, 6)):
+            inst = parse_instance({"type": "doubled", "name": "", "inner": inner})
+            assert isinstance(inst.backend, DoubledMatroid)
+            assert inst.m == m
+            # equal twins dump as their inner instance, under its name
+            assert dump_instance(inst) == {"type": "doubled", "name": inner["name"], "inner": inner}
+            assert parse_instance(dump_instance(inst)) == inst
+
+    def test_differing_twins_are_refused(self, tmp_path):
+        weights = tuple(LinearFn(i, 1) for i in range(6))
+        inst = MatroidInstance(
+            DoubledMatroid(UniformMatroid(3, 1)), weights, ParamInterval.closed(0, 1)
+        )
+        with pytest.raises(ValueError, match="twins differ"):
+            dump_instance(inst)
+        path = tmp_path / "doubled.json"
+        with pytest.raises(ValueError, match="twins differ"):
+            save_instance(inst, str(path))
+        assert not path.exists()
 
     def test_bare_integers_accepted_floats_rejected(self):
         data = json.loads(json.dumps(GRAPHIC))
