@@ -150,7 +150,7 @@ def _run_checks(inst: MatroidInstance) -> list[tuple[str, bool, str]]:
         ("naive vs oracle", naive, brute),
         ("intervals vs oracle", intervals, brute),
     ):
-        report = compare(left, right, samples=64)
+        report = compare(left, right)
         detail = ""
         if report.first_divergence:
             lam, lhs, rhs = report.first_divergence

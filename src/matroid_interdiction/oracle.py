@@ -8,6 +8,11 @@ leaving it out, in every window instead of exploiting the fact that only
 basis members matter.
 A disagreement with the fast solvers therefore localizes bugs in whichever
 structural shortcut they rely on.
+
+:func:`compare` is exact: it probes every value cut and finite segment end of
+both solutions, a point past each infinite end, then every gap's midpoint.
+No value or segment line bends between two probes, and each segment owns
+two probes per gap, so agreeing at the probes is agreeing everywhere.
 """
 
 from __future__ import annotations
@@ -112,44 +117,22 @@ class ComparisonReport:
         return self.value_equal and self.argmax_consistent
 
 
-def _sample_points(a: Solution, b: Solution, samples: int) -> list[Fraction]:
-    """Deterministic probe values: endpoints, all cuts of both, midpoints.
-
-    Every cut of either solution is included so a divergence at a cut cannot
-    hide between probes; extra evenly spaced points pad the list up to
-    ``samples`` when the base set is smaller.
-    """
+def _probe_points(a: Solution, b: Solution) -> list[Fraction]:
+    """The sorted probes of :func:`compare`; the outer points come before the
+    midpoints, so a ray segment gets two probes."""
     domain = a.value.domain
-    base: set[Fraction] = set(a.value.cuts) | set(b.value.cuts)
-    if domain.lo.is_finite:
-        base.add(domain.lo.value)
-    if domain.hi.is_finite:
-        base.add(domain.hi.value)
-    if not base:
-        base.add(domain.representative())
-    ordered = sorted(base)
-    for x, y in zip(ordered, ordered[1:]):
-        base.add((x + y) / 2)
-    lo = min(base) if not domain.lo.is_finite else domain.lo.value
-    hi = max(base) if not domain.hi.is_finite else domain.hi.value
+    windows = [seg.window for seg in a.segments + b.segments]
+    ends = [end.value for w in windows for end in (w.lo, w.hi) if end.is_finite]
+    points = {*a.value.cuts, *b.value.cuts, *ends} or {domain.representative()}
     if not domain.lo.is_finite:
-        base.add(lo - 1)
-        lo -= 1
+        points.add(min(points) - 1)
     if not domain.hi.is_finite:
-        base.add(hi + 1)
-        hi += 1
-    extra = 0
-    while len(base) < samples and lo < hi:
-        extra += 1
-        step = Fraction(hi - lo, samples + 1)
-        candidate = lo + extra * step
-        if candidate >= hi:
-            break
-        base.add(candidate)
-    return sorted(base)
+        points.add(max(points) + 1)
+    ordered = sorted(points)
+    return sorted(points.union((x + y) / 2 for x, y in zip(ordered, ordered[1:])))
 
 
-def compare(a: Solution, b: Solution, samples: int = 100) -> ComparisonReport:
+def compare(a: Solution, b: Solution) -> ComparisonReport:
     """Exact comparison of two solutions over the same interval.
 
     ``value_equal`` compares normalized value functions; the probe pass
@@ -157,13 +140,20 @@ def compare(a: Solution, b: Solution, samples: int = 100) -> ComparisonReport:
     vital elements are value-consistent (each solution's segment value equals
     its own value function, and both values agree, so differing labels can
     only be value ties).
+
+    The probes are exact: every value cut and finite segment end of both
+    solutions, a point past each infinite end, then every gap's midpoint.
+    Between probes each (continuous) value function and segment line is one
+    line, extended past an unbounded end, and the segment over a gap owns its
+    midpoint and right end (:meth:`.Solution.segment_at` picks the left one at
+    a shared end).  Lines that agree at two points are equal everywhere.
     """
     if a.value.domain != b.value.domain:
         raise ValueError("solutions cover different intervals")
     value_equal = pwl_equal(a.value, b.value)
     first_divergence = None
     argmax_consistent = True
-    for lam in _sample_points(a, b, samples):
+    for lam in _probe_points(a, b):
         va, vb = a.value_at(lam), b.value_at(lam)
         if va != vb and first_divergence is None:
             first_divergence = (lam, va, vb)

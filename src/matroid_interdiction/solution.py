@@ -9,7 +9,7 @@ is kept alongside, fully normalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -46,6 +46,7 @@ class Solution:
         return self.value.value_at(lam)
 
     def segment_at(self, lam: Fraction) -> Segment:
+        """The segment containing ``lam``; the left one at a shared end."""
         for seg in self.segments:
             if seg.window.contains(lam):
                 return seg
@@ -65,10 +66,12 @@ def build_solution(inst: MatroidInstance, labeled: PWLFunction) -> Solution:
     reported instead -- its removal is exactly as damaging.  The basis and
     the replacement scans of each piece use the integer order keys
     (:meth:`.MatroidInstance.order_at`) at the piece's interior point.
-    Segments with equal bases share one ``frozenset``.
+    A piece with the last segment's line and most vital element widens that
+    segment, which keeps its basis and replacement.  Segments with equal
+    bases share one ``frozenset``.
     """
     view = inst.view()
-    raw: list[Segment] = []
+    segments: list[Segment] = []
     bases: dict[frozenset[int], frozenset[int]] = {}
     for lo, hi, line, label in labeled.piece_windows():
         rep = interior_point(lo, hi)
@@ -87,11 +90,13 @@ def build_solution(inst: MatroidInstance, labeled: PWLFunction) -> Solution:
             raise AssertionError(
                 f"segment line {line} does not match basis identity {identity}"
             )
-        raw.append(
-            Segment(ParamInterval(lo, hi), line, most_vital, basis, replacement)
-        )
-
-    segments = _merge_segments(raw)
+        last = segments[-1] if segments else None
+        if last is not None and last.value == line and last.most_vital == most_vital:
+            segments[-1] = replace(last, window=ParamInterval(last.window.lo, hi))
+        else:
+            segments.append(
+                Segment(ParamInterval(lo, hi), line, most_vital, basis, replacement)
+            )
     return Solution(tuple(segments), labeled.drop_labels())
 
 
@@ -104,32 +109,7 @@ def _matching_basis_element(
 ) -> int:
     for e in sorted(basis):
         repl = view.replacement_element(basis, e, order)
-        if repl is None:
-            continue
-        if inst.basis_line(basis - {e} | {repl}) == line:
+        if repl is not None and inst.basis_line(basis - {e} | {repl}) == line:
             return e
     raise AssertionError("no basis element matches the winning value line")
 
-
-def _merge_segments(raw: list[Segment]) -> list[Segment]:
-    """Merge adjacent windows that share both value line and most vital element."""
-    merged: list[Segment] = []
-    for seg in raw:
-        if (
-            merged
-            and merged[-1].value == seg.value
-            and merged[-1].most_vital == seg.most_vital
-        ):
-            prev = merged.pop()
-            merged.append(
-                Segment(
-                    ParamInterval(prev.window.lo, seg.window.hi),
-                    prev.value,
-                    prev.most_vital,
-                    prev.basis,
-                    prev.replacement,
-                )
-            )
-        else:
-            merged.append(seg)
-    return merged

@@ -97,12 +97,12 @@ def _artificial_solution(window, segments_spec):
 class TestCompare:
     def test_reflexive(self, p2):
         sol = solve_naive(p2)
-        report = compare(sol, sol, 20)
+        report = compare(sol, sol)
         assert report.value_equal and report.argmax_consistent
         assert report.first_divergence is None
 
     def test_naive_vs_bruteforce_equal(self, p2):
-        report = compare(solve_naive(p2), solve_bruteforce(p2), 100)
+        report = compare(solve_naive(p2), solve_bruteforce(p2))
         assert report.value_equal
 
     def test_max_vs_min_first_divergence_at_left_end(self):
@@ -113,7 +113,7 @@ class TestCompare:
         bottom = _artificial_solution(
             window, [(0, 1, LinearFn(0, 1), 1), (1, 2, LinearFn(1, 0), 0)]
         )
-        report = compare(top, bottom, 10)
+        report = compare(top, bottom)
         assert not report.value_equal
         assert report.first_divergence is not None
         lam, lhs, rhs = report.first_divergence
@@ -121,7 +121,7 @@ class TestCompare:
 
     def test_domain_mismatch_rejected(self, p2, c4p):
         with pytest.raises(ValueError):
-            compare(solve_naive(p2), solve_naive(c4p), 10)
+            compare(solve_naive(p2), solve_naive(c4p))
 
     def test_samples_include_cuts_of_both(self):
         rng = random.Random(127)
@@ -129,8 +129,47 @@ class TestCompare:
             inst = random_graphic(rng, m_max=10)
             a = solve_naive(inst)
             b = solve_bruteforce(inst)
-            report = compare(a, b, 8)
+            report = compare(a, b)
             assert report.value_equal and report.ok
+
+    def test_segment_at_a_shared_end_is_the_left_segment(self):
+        # compare's exactness rests on this attribution
+        sol = _artificial_solution(
+            ParamInterval.closed(0, 2),
+            [(0, 1, LinearFn(1, 0), 0), (1, 2, LinearFn(2, -1), 1)],
+        )
+        assert sol.segment_at(Fraction(1)) is sol.segments[0]
+        assert sol.most_vital_at(Fraction(1)) == 0
+
+    @staticmethod
+    def _wrong_last_segment(window, end, wrong):
+        """Value 1 everywhere; the segment right of ``end`` carries ``wrong``."""
+        segments = (
+            Segment(ParamInterval(window.lo, extended(end)), LinearFn(1, 0), 0,
+                    frozenset({0}), 1),
+            Segment(ParamInterval(extended(end), window.hi), wrong, 1,
+                    frozenset({1}), 0),
+        )
+        return Solution(segments, PWLFunction.build(window, [], [LinearFn(1, 0)]))
+
+    def test_wrong_segment_line_meeting_the_value_at_its_right_end(self):
+        # -197 + 99*lam equals 1 only at lam = 2, the interval's end
+        sol = self._wrong_last_segment(
+            ParamInterval.closed(0, 2), Fraction(199, 100), LinearFn(-197, 99)
+        )
+        report = compare(sol, sol)
+        assert report.value_equal
+        assert report.argmax_consistent is False
+
+    def test_wrong_ray_segment_line_meeting_the_value_one_past_the_last_end(self):
+        # lam - 1 equals 1 only at lam = 2, the point beyond the last segment
+        # end 1; midpoints taken before that point would leave the ray one probe
+        sol = self._wrong_last_segment(
+            ParamInterval.closed(0, "inf"), Fraction(1), LinearFn(-1, 1)
+        )
+        report = compare(sol, sol)
+        assert report.value_equal
+        assert report.argmax_consistent is False
 
 
 class TestTripleAgreementSpot:
@@ -141,4 +180,4 @@ class TestTripleAgreementSpot:
             naive = solve_naive(inst)
             brute = solve_bruteforce(inst)
             assert pwl_equal(naive.value, brute.value)
-            assert compare(naive, brute, 30).ok
+            assert compare(naive, brute).ok
