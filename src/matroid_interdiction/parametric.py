@@ -87,8 +87,12 @@ class MatroidInstance:
         return self.view().rank()
 
     def weights_at(self, lam: Fraction) -> Callable[[int], Fraction]:
-        weights = self.weights
-        return lambda e: weights[e](lam)
+        """The exact weights ``w_e(lam)``, looked up by id as :meth:`order_at`'s keys are.
+
+        Each of the m lines is evaluated once, here, so sorts and scans that
+        read the lookup many times do no further ``Fraction`` arithmetic.
+        """
+        return [w(lam) for w in self.weights].__getitem__
 
     @cached_property
     def scaled(self) -> ScaledLines:

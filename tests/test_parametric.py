@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,12 @@ from matroid_interdiction import (
     ParamInterval,
     UniformMatroid,
     all_equality_points,
+    find_candidates,
     parametric_min_basis,
 )
+from matroid_interdiction import interdiction
+from matroid_interdiction.matroid import MatroidView
+from matroid_interdiction.parametric import interior_crossings
 
 from randinst import (
     prime_graphic,
@@ -181,3 +186,60 @@ class TestScaledLines:
         assert scale == 1
         for e, w in enumerate(weights):
             assert a[e] is w.a.numerator and b[e] is w.b.numerator
+
+
+class TestWeightsAt:
+    """A weight lookup evaluates each line once, however often it is read."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        counts = {"lines": 0}
+        call = LinearFn.__call__
+
+        def counted_call(line, lam):
+            counts["lines"] += 1
+            return call(line, lam)
+
+        monkeypatch.setattr(LinearFn, "__call__", counted_call)
+        return counts
+
+    def test_one_evaluation_per_line_for_any_number_of_reads(self, evaluations):
+        inst = prime_graphic(random.Random(0), n=6, m=10)
+        unbounded = replace(inst, interval=ParamInterval.closed("-inf", Fraction(7, 3)))
+        crossing = interior_crossings(inst)[0].lam
+        for case, lam in ((inst, crossing), (unbounded, unbounded.interval.representative())):
+            evaluations["lines"] = 0
+            weight_at = case.weights_at(lam)
+            for _ in range(3):
+                sorted(range(case.m), key=weight_at)
+            lookups = [weight_at(e) for e in range(case.m)]
+            assert evaluations["lines"] == case.m
+            assert lookups == [case.weights[e](lam) for e in range(case.m)]
+
+    @pytest.mark.parametrize(
+        "inst",
+        [random_graphic(random.Random(5), n_range=(5, 5), m_max=10),
+         random_uniform(random.Random(3), m_max=12)],
+        ids=["graphic", "uniform"],
+    )
+    def test_window_solution_evaluates_each_line_once_per_greedy_run(
+        self, monkeypatch, evaluations, inst
+    ):
+        candidates = find_candidates(inst, interior_crossings(inst))
+        counts = {"runs": 0, "runs_before_build": None}
+        greedy, build = MatroidView.greedy_min_basis, interdiction.build_solution
+
+        def counted_greedy(view, weight_at):
+            counts["runs"] += 1
+            return greedy(view, weight_at)
+
+        def marked_build(inst, labeled):
+            counts["runs_before_build"] = counts["runs"]
+            return build(inst, labeled)
+
+        monkeypatch.setattr(MatroidView, "greedy_min_basis", counted_greedy)
+        monkeypatch.setattr(interdiction, "build_solution", marked_build)
+        evaluations["lines"] = 0
+        interdiction.window_solution(inst, candidates)
+        # The greedy runs of build_solution read integer keys, not weights.
+        assert evaluations["lines"] == inst.m * counts["runs_before_build"] > 0
