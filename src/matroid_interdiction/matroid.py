@@ -12,10 +12,15 @@ Each backend answers a one-shot query with its ``independent`` kernel, one
 loop over the set, and takes a greedy basis of an ordered sequence with its
 ``greedy`` kernel, one loop as well; its ``builder`` is the incremental rank
 structure that the rank and :class:`GrowingRestriction` grow one element at a
-time, and the reference both kernels are tested against.
+time, and the reference both kernels are tested against.  A builder also
+names the fundamental circuit of an element it rejected, with respect to the
+basis it took, without an independence test: the graphic builder by the path
+in the forest it grows, the uniform one by its whole (full) basis, the
+doubled one by the taken twin, or else by the inner circuit mapped back.
 :class:`GrowingRestriction` keeps a growing restriction's coloops by the
-insertion rule; it is the one coloop computation, behind both the coloop scan
-and the candidate filter.
+insertion rule, merging them by that circuit; it is the one coloop
+computation, behind both the coloop scan and the candidate filter, and runs
+no independence test.
 
 Views and bases are immutable and all queries are pure, so a view can be
 shared between threads; a :class:`GrowingRestriction` is mutable and belongs
@@ -131,17 +136,49 @@ class GraphicMatroid:
 
 
 class _GraphicBuilder:
-    __slots__ = ("edges", "dsu")
+    """A union-find for ``add``, and the forest it grows as parent links for
+    ``circuit``: each node's ``(parent, edge to it)``, None at a root."""
+
+    __slots__ = ("edges", "dsu", "up")
 
     def __init__(self, backend: GraphicMatroid):
         self.edges = backend.edges
         self.dsu = _DisjointSet(backend.node_count)
+        self.up: list[tuple[int, int] | None] = [None] * backend.node_count
 
     def add(self, e: int) -> bool:
         u, v = self.edges[e]
-        if u == v:
+        if u == v or not self.dsu.union(u, v):
             return False
-        return self.dsu.union(u, v)
+        # Re-root v's tree at v by reversing its path to the root, then hang
+        # it below u through e.
+        up = self.up
+        node, link = v, (u, e)
+        while True:
+            old = up[node]
+            up[node] = link
+            if old is None:
+                return True
+            parent, edge = old
+            node, link = parent, (node, edge)
+
+    def circuit(self, f: int) -> list[int]:
+        """``f`` and the forest path between its ends (a loop alone)."""
+        u, v = self.edges[f]
+        up = self.up
+        depth_of = {u: 0}  # u's ancestors, by their distance from u
+        from_u = []
+        node = u
+        while up[node] is not None:
+            node, edge = up[node]
+            from_u.append(edge)
+            depth_of[node] = len(from_u)
+        from_v = []
+        node = v
+        while node not in depth_of:
+            node, edge = up[node]
+            from_v.append(edge)
+        return [f, *from_u[:depth_of[node]], *from_v]
 
 
 @dataclass(frozen=True)
@@ -171,17 +208,21 @@ class UniformMatroid:
 
 
 class _UniformBuilder:
-    __slots__ = ("k", "count")
+    __slots__ = ("k", "taken")
 
     def __init__(self, k: int):
         self.k = k
-        self.count = 0
+        self.taken: list[int] = []
 
     def add(self, e: int) -> bool:
-        if self.count >= self.k:
+        if len(self.taken) >= self.k:
             return False
-        self.count += 1
+        self.taken.append(e)
         return True
+
+    def circuit(self, f: int) -> list[int]:
+        """``f`` and the whole basis, which is full."""
+        return [f, *self.taken]
 
 
 @dataclass(frozen=True)
@@ -228,21 +269,29 @@ class DoubledMatroid:
 
 
 class _DoubledBuilder:
-    __slots__ = ("backend", "seen", "inner")
+    __slots__ = ("backend", "taken", "inner")
 
     def __init__(self, backend: DoubledMatroid):
         self.backend = backend
-        self.seen: set[int] = set()
+        self.taken: dict[int, int] = {}  # projection -> the basis element
         self.inner = backend.inner.builder()
 
     def add(self, e: int) -> bool:
         p = self.backend.project(e)
-        if p in self.seen:
+        if p in self.taken:
             return False
         if not self.inner.add(p):
             return False
-        self.seen.add(p)
+        self.taken[p] = e
         return True
+
+    def circuit(self, f: int) -> list[int]:
+        """``f`` and its twin if that is taken, else the inner circuit of
+        ``f``'s projection with each other member mapped back to the basis."""
+        p = self.backend.project(f)
+        if p in self.taken:
+            return [f, self.taken[p]]
+        return [f, *(self.taken[q] for q in self.inner.circuit(p) if q != p)]
 
 
 Backend = Union[GraphicMatroid, UniformMatroid, DoubledMatroid]
@@ -300,19 +349,19 @@ class MatroidView:
         """The share-a-circuit partition of the element ids, from one basis.
 
         The fundamental circuits of a single basis generate the whole
-        relation, so uniting their members suffices.  No solver calls it; it
+        relation, so uniting their members suffices.  The builder names each
+        as it rejects the element: the circuit inside the basis taken so far
+        is the one inside the final basis.  No solver calls it; it
         remains because ``perfbench/tracer.py`` looks it up by name, and goes
         once the benchmark drops that target (ROADMAP item 5).
         """
         ground = range(self.backend.size)
         builder = self.backend.builder()
-        basis = frozenset(e for e in ground if builder.add(e))
         dsu = _DisjointSet(len(ground))
         for f in ground:
-            if f in basis:
-                continue
-            for g in self.fundamental_circuit(basis, f):
-                dsu.union(f, g)
+            if not builder.add(f):
+                for g in builder.circuit(f):
+                    dsu.union(f, g)
         members: dict[int, set[int]] = {}
         for e in ground:
             members.setdefault(dsu.find(e), set()).add(e)
@@ -344,16 +393,16 @@ class GrowingRestriction:
     and becomes a coloop while every old coloop stays one, or it does not,
     and then exactly the coloops on ``f``'s fundamental circuit, those ``g``
     with ``basis - g + f`` independent, stop being coloops (a loop's circuit
-    is itself).  Coloops are in every basis, so one :meth:`MatroidView.swap`
-    per coloop decides it.  Inserting a set one element at a time, in any
-    order, ends at that set's coloops; the basis is the builder's greedy
-    basis of the insertion order.
+    is itself).  The builder names that circuit for its own basis, so the
+    coloops merge by one intersection and no independence test; with no
+    coloop left, the circuit is not asked for.  Inserting a set one element
+    at a time, in any order, ends at that set's coloops; the basis is the
+    builder's greedy basis of the insertion order.
     """
 
-    __slots__ = ("view", "builder", "basis", "coloops")
+    __slots__ = ("builder", "basis", "coloops")
 
     def __init__(self, view: MatroidView, elements: Iterable[int] = ()):
-        self.view = view
         self.builder = view.backend.builder()
         self.basis: set[int] = set()
         self.coloops: set[int] = set()
@@ -367,6 +416,8 @@ class GrowingRestriction:
             self.basis.add(f)
             self.coloops.add(f)
             return True, False
-        merged = {g for g in self.coloops if self.view.swap(self.basis, g, f)}
+        if not self.coloops:
+            return False, False
+        merged = self.coloops.intersection(self.builder.circuit(f))
         self.coloops -= merged
         return False, bool(merged)

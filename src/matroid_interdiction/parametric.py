@@ -12,15 +12,16 @@ id, which makes every step an isolated crossing of the perturbed instance.
 This sweep is the only code that puts bundles in that order; it records the
 crossings as walked in :attr:`BasisSchedule.walk`, which the removal sweep in
 :mod:`.interdiction` replays instead of tracking the main basis itself.
-After each bundle the basis is checked once against a fresh greedy run, so a
-degenerate bundle can never silently corrupt the schedule.
+After each bundle the basis is checked once against a fresh greedy run in
+the order just right of the bundle's value, so a degenerate bundle can never
+silently corrupt the schedule.  The sweep groups the crossings by value once.
 
 Orders, crossings and basis lines are computed on the instance's weight lines
 scaled to integers (:meth:`MatroidInstance.order_at`,
-:meth:`MatroidInstance.basis_sums`), and the crossings are
-filtered and sorted by exact integer keys (:func:`interior_crossings`);
-``Fraction`` appears only where a value leaves the sweep: crossing positions,
-the representative points that verify bundles, and value lines.  The value
+:meth:`MatroidInstance.right_order_at`, :meth:`MatroidInstance.basis_sums`),
+and the crossings are filtered and sorted by exact integer keys
+(:func:`interior_crossings`); ``Fraction`` appears only where a value leaves
+the sweep: crossing positions, the start point and value lines.  The value
 function is built once, from the lines the sweep records as it walks: the
 start basis's line and, after each crossing value that changed the basis,
 the new basis's line.
@@ -86,13 +87,35 @@ class MatroidInstance:
     def rank(self) -> int:
         return self.view().rank()
 
+    @cached_property
+    def _exact_lines(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The lines ``a + lam*b`` as integers ``x[e]``, ``y[e]``, ``d[e]`` with
+        ``a = x/d`` and ``b = y/d``, from each line's own numerators and
+        denominators.  The instance keeps them, so a numerator whose partner
+        denominator is 1 is kept itself rather than copied by a product.
+        """
+        x, y, d = [], [], []
+        for w in self.weights:
+            (an, ad), (bn, bd) = w.a.as_integer_ratio(), w.b.as_integer_ratio()
+            x.append(an if bd == 1 else an * bd)
+            y.append(bn if ad == 1 else bn * ad)
+            d.append(ad * bd)
+        return tuple(x), tuple(y), tuple(d)
+
     def weights_at(self, lam: Fraction) -> Callable[[int], Fraction]:
         """The exact weights ``w_e(lam)``, looked up by id as :meth:`order_at`'s keys are.
 
-        Each of the m lines is evaluated once, here, so sorts and scans that
-        read the lookup many times do no further ``Fraction`` arithmetic.
+        Each of the m weights is built once, here, as the one ``Fraction``
+        ``(x*q + y*p) / (d*q)`` of the line's integers and ``lam = p/q``, so
+        sorts and scans that read the lookup many times do no further
+        ``Fraction`` arithmetic.  The integers are each line's own, not
+        :attr:`scaled`, so the oracle shares no integer kernel with the
+        solvers' keys.
         """
-        return [w(lam) for w in self.weights].__getitem__
+        p, q = lam.numerator, lam.denominator
+        x, y, d = self._exact_lines
+        return [Fraction(x_e * q + y_e * p, d_e * q)
+                for x_e, y_e, d_e in zip(x, y, d)].__getitem__
 
     @cached_property
     def scaled(self) -> ScaledLines:
@@ -114,6 +137,21 @@ class MatroidInstance:
         p, q = lam.numerator, lam.denominator
         _, a, b = self.scaled
         return [a_e * q + b_e * p for a_e, b_e in zip(a, b)].__getitem__
+
+    def right_order_at(self, lam: Fraction) -> Callable[[int], int]:
+        """Integer sort keys in the order ``(w_e(lam), slope, id)``: the order
+        just right of ``lam``, and at every point before the next crossing.
+
+        The key is :meth:`order_at`'s key times ``W = max(b) - min(b) + 1``
+        plus ``b[e] - min(b)``, which lies in ``[0, W)``, over the scaled
+        slopes ``b``: a weight tie goes to the smaller slope, and the sort's
+        stability breaks what remains by id.
+        """
+        p, q = lam.numerator, lam.denominator
+        _, a, b = self.scaled
+        low = min(b, default=0)
+        spread = max(b, default=0) - low + 1
+        return [(a_e * q + b_e * p) * spread + b_e - low for a_e, b_e in zip(a, b)].__getitem__
 
     def basis_sums(self, basis: Iterable[int]) -> BasisSums:
         """A basis's line as integer sums ``(A, B)`` over :attr:`scaled`: the
@@ -195,7 +233,8 @@ def all_equality_points(inst: MatroidInstance) -> list[EqualityPoint]:
     they are additionally reported through the warning channel.
     """
     points = interior_crossings(inst)
-    coincident = sum(1 for _, group in group_by_lambda(points) if len(group) > 1)
+    # The values shared by neighbours in the sorted list, each counted once.
+    coincident = len({pt.lam for pt, nxt in zip(points, points[1:]) if pt.lam == nxt.lam})
     if coincident:
         warnings.warn(
             f"{coincident} parameter value(s) carry more than one crossing; "
@@ -253,8 +292,7 @@ def advance_min_basis(
     view: MatroidView,
     basis: frozenset[int],
     group: Sequence[EqualityPoint],
-    right_rep: Fraction | None,
-    order_at: Callable[[Fraction], Callable[[int], int]],
+    right_order_at: Callable[[Fraction], Callable[[int], int]],
 ) -> tuple[frozenset[int], list[tuple[int, int, frozenset[int]]]]:
     """Advance the minimum basis across one crossing value.
 
@@ -262,10 +300,11 @@ def advance_min_basis(
     walked: a coincident bundle must come in :func:`perturbed_bundle_order`,
     which makes every step an ordinary isolated crossing of the perturbed
     instance.  A lone crossing needs a single independence test.  A bundle's
-    result is verified against a fresh greedy run at ``right_rep``, a point
-    just right of the bundle, as a hard internal invariant.  Lone crossings
-    never read ``right_rep``, so callers may pass None for them.  Returns the
-    basis after the value and each applied exchange as ``(out, in_, after)``.
+    result is verified, as a hard internal invariant, against a fresh greedy
+    run on the keys ``right_order_at(value)`` (such as
+    :meth:`MatroidInstance.right_order_at`), the order just right of the
+    value; lone crossings never ask for them.  Returns the basis after the
+    value and each applied exchange as ``(out, in_, after)``.
     """
     swaps: list[tuple[int, int, frozenset[int]]] = []
     for pt in group:
@@ -275,7 +314,7 @@ def advance_min_basis(
             basis = swapped
             swaps.append((e, f, basis))
     if len(group) > 1:
-        fresh = view.greedy_min_basis(order_at(right_rep))
+        fresh = view.greedy_min_basis(right_order_at(group[0].lam))
         if fresh != basis:
             raise AssertionError(
                 f"bundle at {group[0].lam}: perturbed-order swaps ended at "
@@ -318,7 +357,6 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
         raise ColoopError(coloops)
 
     points = all_equality_points(inst)
-    groups = group_by_lambda(points)
     interval = inst.interval
 
     start_rep = start_representative(interval, points)
@@ -330,14 +368,10 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     walk: list[EqualityPoint] = []
     value_cuts: list[Fraction] = []
     lines = [inst.basis_line(basis)]
-    for idx, (lam, group) in enumerate(groups):
-        right_rep = None  # read only to verify a bundle
-        if len(group) > 1:
-            right_end = extended(groups[idx + 1][0]) if idx + 1 < len(groups) else interval.hi
-            right_rep = interior_point(extended(lam), right_end)
+    for lam, group in group_by_lambda(points):
         group = perturbed_bundle_order(group, inst.scaled.b)
         walk += group
-        basis, applied = advance_min_basis(view, basis, group, right_rep, inst.order_at)
+        basis, applied = advance_min_basis(view, basis, group, inst.right_order_at)
         for out, in_, after in applied:
             cuts.append(lam)
             bases.append(after)

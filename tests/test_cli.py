@@ -211,20 +211,21 @@ class TestSolve:
         # C4P crosses at three distinct values, each a lone crossing.
         assert calls == {
             "parametric_min_basis": 1, "interior_crossings": 1, "find_candidates": 1,
-            "group_by_lambda": 2, "perturbed_bundle_order": 3,
+            "group_by_lambda": 1, "perturbed_bundle_order": 3,
         }
 
     @pytest.mark.parametrize("algorithm", ["naive", "intervals"])
-    def test_tied_solve_groups_twice_and_orders_each_value_once(
+    def test_tied_solve_groups_once_and_orders_each_value_once(
         self, instance_file, tmp_path, monkeypatch, algorithm
     ):
         calls = count_artifact_builds(monkeypatch)
         out = tmp_path / "sol.json"
         src = instance_file(TIED)
         assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 0
-        # the tie warning's count and the main sweep; the removal sweep and
-        # the window solver reuse the sweep's walk or need none
-        assert calls["group_by_lambda"] == 2
+        # the main sweep; the tie warning counts its values without a
+        # grouping, and the removal sweep and the window solver reuse the
+        # sweep's walk or need none
+        assert calls["group_by_lambda"] == 1
         assert calls["perturbed_bundle_order"] == 3  # at -1, 0 and 1
 
     @pytest.mark.parametrize("algorithm", ["naive", "intervals", "oracle"])
@@ -281,7 +282,7 @@ class TestCheck:
         # which both cross at the same three values
         assert calls == {
             "parametric_min_basis": 2, "interior_crossings": 2, "find_candidates": 1,
-            "group_by_lambda": 4, "perturbed_bundle_order": 6,
+            "group_by_lambda": 2, "perturbed_bundle_order": 6,
         }
 
     def test_solve_and_check_walk_the_removal_gains_once_per_instance(

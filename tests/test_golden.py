@@ -2,7 +2,8 @@
 
 ``golden_fixtures.json`` pins, for each fixture, the exit code, stdout,
 stderr and written file of ``solve`` with each algorithm, ``plot``,
-``double``, ``candidates`` and ``check``.  The ``--out`` path reads as
+``double``, ``candidates`` and ``check``, and of ``candidates`` on the file
+that ``double`` writes (``candidates doubled``).  The ``--out`` path reads as
 ``<out>``.  Regenerate the data with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,6 +32,7 @@ COMMANDS = {
     "double": ["double"],
     "candidates": ["candidates"],
     "check": ["check"],
+    "candidates doubled": ["candidates"],
 }
 WRITERS = ("solve", "plot", "double")
 
@@ -38,7 +40,13 @@ WRITERS = ("solve", "plot", "double")
 def run(fixture: str, command: str, workdir: Path) -> dict:
     """One CLI call as a fresh process would show it."""
     out = workdir / "out"
-    argv = COMMANDS[command] + ["--in", str(ROOT / "fixtures" / fixture)]
+    source = ROOT / "fixtures" / fixture
+    if command.endswith(" doubled"):
+        source = workdir / "doubled.json"
+        with redirect_stdout(StringIO()):
+            assert main(["double", "--in", str(ROOT / "fixtures" / fixture),
+                         "--out", str(source)]) == 0
+    argv = COMMANDS[command] + ["--in", str(source)]
     if command.startswith(WRITERS):
         argv += ["--out", str(out)]
     stdout, stderr = StringIO(), StringIO()

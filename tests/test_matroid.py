@@ -4,15 +4,17 @@ from itertools import combinations
 
 import pytest
 
-from matroid_interdiction import solve_intervals, solve_naive
+from matroid_interdiction import doubled_instance, find_candidates, solve_intervals, solve_naive
 from matroid_interdiction.matroid import (
     DoubledMatroid,
     GraphicMatroid,
+    GrowingRestriction,
     MatroidView,
     UniformMatroid,
 )
+from matroid_interdiction.parametric import interior_crossings
 
-from randinst import random_graphic
+from randinst import parallel_classes, random_graphic, random_uniform, tangent_uniform
 from subsets import subset_min_basis, subset_rank
 
 C4 = GraphicMatroid(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -272,6 +274,99 @@ class TestColoopScan:
                 e for e in ground if subset_rank(backend, set(ground) - {e}) < rank
             )
             assert MatroidView(backend).coloop_scan() == expected
+
+
+def loopy_multigraph(rng: random.Random) -> GraphicMatroid:
+    """Random edges on few nodes: self-loops, parallel edges and bridges."""
+    n = rng.randint(1, 5)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
+    edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))  # parallels
+    return GraphicMatroid(n, tuple(edges))
+
+
+def circuit_backends(seed: int, count: int) -> list:
+    """Graphic, uniform and doubled backends of either, drawn from ``seed``."""
+    rng = random.Random(seed)
+    backends = []
+    for _ in range(count):
+        m = rng.randint(0, 8)
+        plain = loopy_multigraph(rng) if rng.random() < 0.6 else UniformMatroid(m, rng.randint(0, m))
+        backends.append(DoubledMatroid(plain) if rng.random() < 0.3 else plain)
+    return backends
+
+
+class SwapTestRestriction:
+    """The insertion rule with one swap test per coloop: the reference for
+    :class:`GrowingRestriction`, whose builder names the circuit instead."""
+
+    def __init__(self, view: MatroidView):
+        self.view = view
+        self.builder = view.backend.builder()
+        self.basis: set[int] = set()
+        self.coloops: set[int] = set()
+
+    def add(self, f: int) -> tuple[bool, bool]:
+        if self.builder.add(f):
+            self.basis.add(f)
+            self.coloops.add(f)
+            return True, False
+        merged = {g for g in self.coloops if self.view.swap(self.basis, g, f)}
+        self.coloops -= merged
+        return False, bool(merged)
+
+
+class TestBuilderCircuit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_circuit_is_the_swap_test_circuit(self, seed):
+        for backend in circuit_backends(seed, 120):
+            view = MatroidView(backend)
+            order = random.Random(seed).sample(range(backend.size), backend.size)
+            builder, basis = backend.builder(), set()
+            for f in order:
+                if builder.add(f):
+                    basis.add(f)
+                    continue
+                circuit = builder.circuit(f)
+                assert len(circuit) == len(set(circuit))
+                assert set(circuit) == {f, *(g for g in basis if view.swap(basis, g, f))}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_growing_restriction_matches_the_swap_test_rule(self, seed):
+        rng = random.Random(100 + seed)
+        for backend in circuit_backends(100 + seed, 120):
+            view = MatroidView(backend)
+            order = rng.sample(range(backend.size), rng.randint(0, backend.size))
+            grower, reference = GrowingRestriction(view), SwapTestRestriction(view)
+            for f in order:
+                assert grower.add(f) == reference.add(f)
+                assert grower.coloops == reference.coloops
+                assert grower.basis == reference.basis
+
+    @pytest.mark.parametrize(
+        "inst",
+        [random_graphic(random.Random(5), n_range=(5, 5), m_max=10),
+         random_graphic(random.Random(6), n_range=(6, 8), m_max=16, coeff=2),
+         parallel_classes(random.Random(0), (3, 2, 4)),
+         random_uniform(random.Random(3), m_max=12),
+         tangent_uniform(9, 4),
+         doubled_instance(random_uniform(random.Random(4), m_max=8))],
+        ids=["graphic", "tied_graphic", "parallel_classes", "uniform", "tangent_uniform",
+             "doubled"],
+    )
+    def test_candidate_filter_and_coloop_scan_run_no_independence_test(
+        self, monkeypatch, inst
+    ):
+        tests = {"count": 0}
+        is_independent = MatroidView.is_independent
+
+        def counted_test(view, subset):
+            tests["count"] += 1
+            return is_independent(view, subset)
+
+        monkeypatch.setattr(MatroidView, "is_independent", counted_test)
+        assert len(find_candidates(inst, interior_crossings(inst))) > 0
+        inst.view().coloop_scan()
+        assert tests["count"] == 0
 
 
 class TestDoubledBackend:

@@ -13,19 +13,23 @@ from matroid_interdiction import (
     ParamInterval,
     UniformMatroid,
     all_equality_points,
+    doubled_instance,
     find_candidates,
     parametric_min_basis,
 )
-from matroid_interdiction import interdiction
+from matroid_interdiction import interdiction, parametric
 from matroid_interdiction.matroid import MatroidView
-from matroid_interdiction.parametric import interior_crossings
+from matroid_interdiction.parametric import group_by_lambda, interior_crossings
+from matroid_interdiction.rationals import extended, interior_point
 
 from randinst import (
+    parallel_classes,
     prime_graphic,
     random_graphic,
     random_rational,
     random_uniform,
     sample_window,
+    tangent_uniform,
 )
 
 
@@ -154,6 +158,29 @@ class TestParametricMinBasis:
                 assert sched.value.value_at(lam) == sum(weight_at(e) for e in basis)
 
 
+def tie_heavy_instances() -> list[MatroidInstance]:
+    """Instances whose crossings pile up on few values, with their doubles."""
+    rng = random.Random(67)
+    plain = [tangent_uniform(12, 5), parallel_classes(rng, (3, 2, 4, 3), coeff=2)]
+    plain += [random_graphic(rng, coeff=2, m_max=10) for _ in range(12)]
+    plain.append(replace(random_graphic(rng, coeff=2, m_max=10),
+                         interval=ParamInterval.closed(-1, "inf")))
+    return plain + [doubled_instance(inst) for inst in plain]
+
+
+class TestRightOrderAt:
+    def test_right_limit_order_is_the_order_before_the_next_value(self):
+        for inst in tie_heavy_instances():
+            values = [lam for lam, _ in group_by_lambda(interior_crossings(inst))]
+            ends = [extended(lam) for lam in values[1:]] + [inst.interval.hi]
+            assert values
+            for lam, end in zip(values, ends):
+                rep = interior_point(extended(lam), end)
+                ids = range(inst.m)
+                assert sorted(ids, key=inst.right_order_at(lam)) == sorted(
+                    ids, key=inst.order_at(rep))
+
+
 def mixed_uniform() -> MatroidInstance:
     """U(2, 5) with integer coefficients beside ``p/q`` ones over 2, 3, 4, 6, 9."""
     coefficients = (
@@ -179,28 +206,42 @@ class TestScaledLines:
             assert inst.sums_line((a[e], b[e])) == inst.weights[e]
 
     def test_integer_lines_share_their_numerators(self):
-        # An instance keeps its scaling, so new ints would cost memory per instance.
+        # An instance keeps its scaling and the integers of weights_at, so
+        # new ints would cost memory per instance.
         weights = (LinearFn(10**6, -(10**6) + 1), LinearFn(-777, 9999))
         inst = MatroidInstance(UniformMatroid(2, 1), weights, ParamInterval.closed(-10, 10))
         scale, a, b = inst.scaled
         assert scale == 1
+        x, y, d = inst._exact_lines
         for e, w in enumerate(weights):
             assert a[e] is w.a.numerator and b[e] is w.b.numerator
+            assert x[e] is w.a.numerator and y[e] is w.b.numerator and d[e] == 1
+
+
+def unbounded_graphic() -> MatroidInstance:
+    inst = random_graphic(random.Random(5), n_range=(5, 5), m_max=10)
+    return replace(inst, interval=ParamInterval.closed("-inf", Fraction(7, 3)))
 
 
 class TestWeightsAt:
-    """A weight lookup evaluates each line once, however often it is read."""
+    """A weight lookup builds each weight once, from the line's integers and
+    without evaluating a :class:`LinearFn`, however often it is read."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
-        counts = {"lines": 0}
+        counts = {"lines": 0, "weights": 0}
         call = LinearFn.__call__
 
         def counted_call(line, lam):
             counts["lines"] += 1
             return call(line, lam)
 
+        def counted_fraction(*args):
+            counts["weights"] += 1
+            return Fraction(*args)
+
         monkeypatch.setattr(LinearFn, "__call__", counted_call)
+        monkeypatch.setattr(parametric, "Fraction", counted_fraction)
         return counts
 
     def test_one_evaluation_per_line_for_any_number_of_reads(self, evaluations):
@@ -208,38 +249,50 @@ class TestWeightsAt:
         unbounded = replace(inst, interval=ParamInterval.closed("-inf", Fraction(7, 3)))
         crossing = interior_crossings(inst)[0].lam
         for case, lam in ((inst, crossing), (unbounded, unbounded.interval.representative())):
-            evaluations["lines"] = 0
+            evaluations.update(lines=0, weights=0)
             weight_at = case.weights_at(lam)
             for _ in range(3):
                 sorted(range(case.m), key=weight_at)
             lookups = [weight_at(e) for e in range(case.m)]
-            assert evaluations["lines"] == case.m
+            assert evaluations == {"lines": 0, "weights": case.m}
             assert lookups == [case.weights[e](lam) for e in range(case.m)]
 
     @pytest.mark.parametrize(
         "inst",
         [random_graphic(random.Random(5), n_range=(5, 5), m_max=10),
-         random_uniform(random.Random(3), m_max=12)],
-        ids=["graphic", "uniform"],
+         random_uniform(random.Random(3), m_max=12),
+         prime_graphic(random.Random(0), n=6, m=10),
+         unbounded_graphic()],
+        ids=["graphic", "uniform", "prime_graphic", "unbounded"],
     )
     def test_window_solution_evaluates_each_line_once_per_greedy_run(
         self, monkeypatch, evaluations, inst
     ):
         candidates = find_candidates(inst, interior_crossings(inst))
-        counts = {"runs": 0, "runs_before_build": None}
+        counts = {"runs": 0, "lookups": 0, "before_build": None}
         greedy, build = MatroidView.greedy_min_basis, interdiction.build_solution
+        weights_at = MatroidInstance.weights_at
 
         def counted_greedy(view, weight_at):
             counts["runs"] += 1
             return greedy(view, weight_at)
 
+        def counted_weights_at(inst, lam):
+            counts["lookups"] += 1
+            return weights_at(inst, lam)
+
         def marked_build(inst, labeled):
-            counts["runs_before_build"] = counts["runs"]
+            counts["before_build"] = (counts["runs"], counts["lookups"], evaluations["weights"])
             return build(inst, labeled)
 
         monkeypatch.setattr(MatroidView, "greedy_min_basis", counted_greedy)
+        monkeypatch.setattr(MatroidInstance, "weights_at", counted_weights_at)
         monkeypatch.setattr(interdiction, "build_solution", marked_build)
-        evaluations["lines"] = 0
+        evaluations.update(lines=0, weights=0)
         interdiction.window_solution(inst, candidates)
-        # The greedy runs of build_solution read integer keys, not weights.
-        assert evaluations["lines"] == inst.m * counts["runs_before_build"] > 0
+        # One lookup of m weights per greedy run; the greedy runs of
+        # build_solution read integer keys, not weights.
+        runs, lookups, weights = counts["before_build"]
+        assert lookups == runs > 0
+        assert weights == inst.m * runs
+        assert evaluations["lines"] == 0
