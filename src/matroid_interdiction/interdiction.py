@@ -26,10 +26,11 @@ assembler over artifacts that are built once per instance and passed down:
   runs.
 
 :func:`solve_naive` and :func:`solve_intervals` compose them from an instance.
-Both refuse instances with coloops: interdicting such an element makes the
-objective infinite, so the problem degenerates.  :func:`doubled_instance`
-adds a parallel twin per element, which forces the interdicted optimum to
-collapse onto the plain optimum -- a handy self-test.
+Both refuse instances with coloops (interdicting such an element makes the
+objective infinite) or of rank 0, through :func:`.checked_view`, before they
+enumerate a crossing.  :func:`doubled_instance` adds a parallel twin per
+element, which forces the interdicted optimum to collapse onto the plain
+optimum -- a handy self-test.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Iterator, Sequence
 
 from .matroid import DoubledMatroid, GraphicMatroid, GrowingRestriction, MatroidView
 from .parametric import (
-    RANK_ZERO,
     BasisSchedule,
     BasisSums,
     MatroidInstance,
@@ -80,12 +80,9 @@ def removal_gains(inst: MatroidInstance, schedule: BasisSchedule) -> dict[int, P
     :attr:`MatroidInstance.scaled` until they become pieces, and every gain
     is continuous, so each :meth:`.PWLFunction.build` checks every cut.  The
     elements that hold no place in the basis on an interval of positive
-    length (see :func:`_lasting_members`) share one zero function.  Refuses
-    rank 0.
+    length (see :func:`_lasting_members`) share one zero function.
     """
     basis = schedule.bases[0]
-    if not basis:
-        raise ValueError(RANK_ZERO)
     view = inst.view()
     _, a, b = inst.scaled
     order = inst.order_at(start_representative(inst.interval, schedule.points))
@@ -157,7 +154,7 @@ def removal_value_functions(
     That is the plain optimum ``schedule.value`` plus the element's
     :func:`removal_gains`.  The elements that share the zero gain share
     ``schedule.value`` itself.  No solver or CLI verb calls it: they read
-    the gains.  Refuses rank 0.
+    the gains.
     """
     members = _lasting_members(schedule)
     return {e: pwl_sum(schedule.value, gain) if e in members else schedule.value
@@ -271,7 +268,11 @@ def find_candidates(
 
 
 def solve_intervals(inst: MatroidInstance) -> Solution:
-    """The paper's route: filter the crossings, then solve every window."""
+    """The paper's route: filter the crossings, then solve every window.
+
+    Refuses through :func:`.checked_view` before it enumerates the crossings.
+    """
+    checked_view(inst)
     return window_solution(inst, find_candidates(inst, all_equality_points(inst)))
 
 

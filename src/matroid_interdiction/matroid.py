@@ -1,12 +1,12 @@
 """Matroid oracles with graphic, uniform and twinned backends.
 
 The backends answer independence queries; everything else (greedy optimum,
-basis exchanges, fundamental circuits, replacement elements, coloops, and the
-component partition as a frozenset of frozensets of element ids) is built on
-top of them through :class:`MatroidView`, which always works on the whole
-ground set: the solvers count independence tests on the whole matroid, and a
-deleted element is one left out of a test's set.  Every exchange test goes
-through :meth:`MatroidView.swap`.
+basis exchanges, replacement elements, coloops, and the component partition
+as a frozenset of frozensets of element ids) is built on top of them through
+:class:`MatroidView`, which always works on the whole ground set: the solvers
+count independence tests on the whole matroid, and a deleted element is one
+left out of a test's set.  Every exchange test goes through
+:meth:`MatroidView.swap`.
 
 Each backend answers a one-shot query with its ``independent`` kernel, one
 loop over the set, and takes a greedy basis of an ordered sequence with its
@@ -14,13 +14,13 @@ loop over the set, and takes a greedy basis of an ordered sequence with its
 structure that the rank and :class:`GrowingRestriction` grow one element at a
 time, and the reference both kernels are tested against.  A builder also
 names the fundamental circuit of an element it rejected, with respect to the
-basis it took, without an independence test: the graphic builder by the path
-in the forest it grows, the uniform one by its whole (full) basis, the
-doubled one by the taken twin, or else by the inner circuit mapped back.
-:class:`GrowingRestriction` keeps a growing restriction's coloops by the
-insertion rule, merging them by that circuit; it is the one coloop
-computation, behind both the coloop scan and the candidate filter, and runs
-no independence test.
+basis it took, without an independence test, the package's one circuit
+query: the graphic builder by the path in the forest it grows, the uniform
+one by its whole (full) basis, the doubled one by the taken twin, or else by
+the inner circuit mapped back.  :class:`GrowingRestriction` keeps a growing
+restriction's coloops by the insertion rule, merging them by that circuit; it
+is the one coloop computation, behind both the coloop scan and the candidate
+filter, and runs no independence test.
 
 Views and bases are immutable and all queries are pure, so a view can be
 shared between threads; a :class:`GrowingRestriction` is mutable and belongs
@@ -336,14 +336,6 @@ class MatroidView:
     def rank(self) -> int:
         builder = self.backend.builder()
         return sum(1 for e in range(self.backend.size) if builder.add(e))
-
-    def fundamental_circuit(self, basis: frozenset[int], f: int) -> frozenset[int]:
-        """The unique circuit inside ``basis + f`` for a non-basis element."""
-        if f in basis:
-            raise ValueError(f"e{f} already lies in the basis")
-        if self.is_independent(basis | {f}):
-            raise ValueError(f"basis + e{f} is independent; no circuit exists")
-        return frozenset([f, *(g for g in basis if self.swap(basis, g, f))])
 
     def components(self) -> frozenset[frozenset[int]]:
         """The share-a-circuit partition of the element ids, from one basis.

@@ -172,7 +172,12 @@ RANK_ZERO = "rank-0 instance: there is nothing to interdict"
 
 
 def checked_view(inst: MatroidInstance) -> MatroidView:
-    """The full view, after the interdiction precondition: no coloops, rank > 0."""
+    """The full view, after the interdiction precondition: no coloops, rank > 0.
+
+    The one place that refuses an instance, with :class:`.ColoopError` or the
+    rank-0 ``ValueError``; every solving route calls it before it enumerates
+    a crossing.
+    """
     view = inst.view()
     coloops = view.coloop_scan()
     if coloops:
@@ -347,15 +352,12 @@ class BasisSchedule:
 def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     """Sweep the crossings and report every optimal basis with its window.
 
-    Refuses instances with coloops so that all solvers fail uniformly on
-    them.  The assembled value function is asserted concave (strictly
-    decreasing slopes); a violation would mean a sweep bug.
+    Refuses coloops and rank 0, through :func:`checked_view`, before it
+    enumerates, so that all solvers fail uniformly on them.  The assembled
+    value function is asserted concave (strictly decreasing slopes); a
+    violation would mean a sweep bug.
     """
-    view = inst.view()
-    coloops = view.coloop_scan()
-    if coloops:
-        raise ColoopError(coloops)
-
+    view = checked_view(inst)
     points = all_equality_points(inst)
     interval = inst.interval
 

@@ -66,6 +66,19 @@ RANK0 = {
     "interval": {"lo": "0", "hi": "2"},
 }
 
+# Three loops on one node whose lines all meet at 0: rank 0, and tied.
+TIED_RANK0 = {
+    "type": "graphic",
+    "name": "tied-loops",
+    "nodes": 1,
+    "edges": [
+        {"u": 0, "v": 0, "a": "0", "b": "1"},
+        {"u": 0, "v": 0, "a": "0", "b": "-1"},
+        {"u": 0, "v": 0, "a": "0", "b": "2"},
+    ],
+    "interval": {"lo": "-1", "hi": "1"},
+}
+
 BRIDGE = {
     "type": "graphic",
     "name": "bridge",
@@ -234,6 +247,26 @@ class TestSolve:
         src = instance_file(RANK0)
         assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 1
         assert "error: rank-0 instance" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["naive", "intervals", "oracle"])
+    def test_tied_rank_zero_refuses_before_the_tie_warning(
+        self, instance_file, tmp_path, capsys, algorithm
+    ):
+        out = tmp_path / "sol.json"
+        src = instance_file(TIED_RANK0)
+        with warnings.catch_warnings():
+            warnings.simplefilter(
+                "default", category=parametric.CoincidentEqualityPointsWarning
+            )
+            assert main(["solve", "--in", src, "--algorithm", algorithm,
+                         "--out", str(out)]) == 1
+        # the loader's note on the input, then the refusal alone: the
+        # crossings, and so their tie, are never enumerated
+        assert capsys.readouterr().err.splitlines() == [
+            "note: self-loop edges present: e0, e1, e2",
+            "error: rank-0 instance: there is nothing to interdict",
+        ]
         assert not out.exists()
 
 

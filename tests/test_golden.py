@@ -2,9 +2,10 @@
 
 ``golden_fixtures.json`` pins, for each fixture, the exit code, stdout,
 stderr and written file of ``solve`` with each algorithm, ``plot``,
-``double``, ``candidates`` and ``check``, and of ``candidates`` on the file
-that ``double`` writes (``candidates doubled``).  The ``--out`` path reads as
-``<out>``.  Regenerate the data with
+``double``, ``candidates`` and ``check``, and of ``solve`` with each
+algorithm, ``candidates`` and ``check`` on the file that ``double`` writes
+(``... doubled``).  The ``--out`` path reads as ``<out>``.  The three
+solvers must also write identical files.  Regenerate the data with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,6 +34,10 @@ COMMANDS = {
     "candidates": ["candidates"],
     "check": ["check"],
     "candidates doubled": ["candidates"],
+    "solve naive doubled": ["solve", "--algorithm", "naive"],
+    "solve intervals doubled": ["solve", "--algorithm", "intervals"],
+    "solve oracle doubled": ["solve", "--algorithm", "oracle"],
+    "check doubled": ["check"],
 }
 WRITERS = ("solve", "plot", "double")
 
@@ -69,6 +74,14 @@ def run(fixture: str, command: str, workdir: Path) -> dict:
 def test_fixture_outputs_match_golden(fixture, command, tmp_path):
     expected = json.loads(DATA.read_text(encoding="utf-8"))[fixture][command]
     assert run(fixture, command, tmp_path) == expected
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_solvers_write_identical_files(fixture, tmp_path):
+    for doubled in ("", " doubled"):
+        files = {run(fixture, f"solve {algorithm}{doubled}", tmp_path)["file"]
+                 for algorithm in ("naive", "intervals", "oracle")}
+        assert len(files) == 1, f"solve{doubled}: the solvers' files differ"
 
 
 if __name__ == "__main__":

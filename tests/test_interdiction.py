@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -21,6 +22,7 @@ from matroid_interdiction import (
     doubled_graphic_instance,
     doubled_instance,
     find_candidates,
+    interdict_at,
     parametric_min_basis,
     pwl_equal,
     removal_value_functions,
@@ -29,10 +31,10 @@ from matroid_interdiction import (
     solve_naive,
 )
 
-from matroid_interdiction import interdiction, pwl
+from matroid_interdiction import interdiction, parametric, pwl
 from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.instances import dump_solution
-from matroid_interdiction.parametric import interior_crossings
+from matroid_interdiction.parametric import CoincidentEqualityPointsWarning, interior_crossings
 from matroid_interdiction.rationals import extended
 from randinst import (
     parallel_classes,
@@ -591,3 +593,53 @@ class TestDegenerateInstances:
         sol = solve_naive(inst)
         assert sol.value.cuts == ()
         assert sol.value.pieces == (LinearFn(0, 1),)
+
+
+# A triangle and a bridge (a coloop), all four lines through (0, 0): every
+# crossing lies at 0, a tie the sweep would warn about.
+TIED_BRIDGE = MatroidInstance(
+    GraphicMatroid(4, ((0, 1), (1, 2), (2, 0), (2, 3))),
+    (LinearFn(0, 1), LinearFn(0, -1), LinearFn(0, 2), LinearFn(0, -2)),
+    ParamInterval.closed(-1, 1),
+    "",
+)
+# Three loops on one node (rank 0) whose lines all meet at 0.
+TIED_RANK0 = MatroidInstance(
+    GraphicMatroid(1, ((0, 0), (0, 0), (0, 0))),
+    (LinearFn(0, 1), LinearFn(0, -1), LinearFn(0, 2)),
+    ParamInterval.closed(-1, 1),
+    "",
+)
+
+
+class TestRefusalOrder:
+    """Every solving route refuses before it enumerates a crossing: no
+    enumeration, so no tie warning either."""
+
+    @pytest.mark.parametrize("inst, refusal", [
+        pytest.param(TIED_BRIDGE, pytest.raises(ColoopError), id="bridge"),
+        pytest.param(TIED_RANK0, pytest.raises(ValueError, match="^rank-0 instance"),
+                     id="rank0"),
+    ])
+    @pytest.mark.parametrize("route", [
+        parametric_min_basis, solve_naive, solve_intervals, solve_bruteforce,
+        lambda inst: interdict_at(inst, Fraction(1, 2)),
+    ], ids=["parametric_min_basis", "solve_naive", "solve_intervals",
+            "solve_bruteforce", "interdict_at"])
+    def test_refuses_before_enumerating(self, monkeypatch, inst, refusal, route):
+        points = interior_crossings(inst)
+        assert len(points) > len({pt.lam for pt in points})  # tied
+        enumerations = Counter()
+
+        def counted(inst):
+            enumerations["interior_crossings"] += 1
+            return interior_crossings(inst)
+
+        monkeypatch.setattr(parametric, "interior_crossings", counted)
+        # the suite ignores the tie warning; record every one here
+        with warnings.catch_warnings(record=True) as caught, refusal:
+            warnings.simplefilter("always")
+            route(inst)
+        assert not [w for w in caught
+                    if issubclass(w.category, CoincidentEqualityPointsWarning)]
+        assert enumerations["interior_crossings"] == 0

@@ -119,39 +119,6 @@ class TestGreedy:
             assert sum(weight_at(e) for e in greedy) == best
 
 
-class TestFundamentalCircuit:
-    def test_whole_four_cycle(self):
-        view = MatroidView(C4)
-        assert view.fundamental_circuit(frozenset({1, 2, 3}), 0) == {0, 1, 2, 3}
-
-    def test_parallel_pair(self):
-        view = MatroidView(GraphicMatroid(2, ((0, 1), (0, 1))))
-        assert view.fundamental_circuit(frozenset({0}), 1) == {0, 1}
-
-    def test_uniform_two_set(self):
-        view = MatroidView(UniformMatroid(3, 1))
-        assert view.fundamental_circuit(frozenset({0}), 2) == {0, 2}
-
-    def test_error_when_no_circuit(self):
-        view = MatroidView(GraphicMatroid(3, ((0, 1), (1, 2))))
-        with pytest.raises(ValueError):
-            view.fundamental_circuit(frozenset({0}), 1)
-
-    def test_circuit_minimality_exhaustive(self):
-        rng = random.Random(9)
-        for _ in range(30):
-            inst = random_graphic(rng, n_range=(3, 5), m_max=10)
-            view = inst.view()
-            basis = view.greedy_min_basis(inst.weights_at(Fraction(0)))
-            for f in range(inst.m):
-                if f in basis:
-                    continue
-                circuit = view.fundamental_circuit(basis, f)
-                assert not view.is_independent(circuit)
-                for x in circuit:
-                    assert view.is_independent(circuit - {x})
-
-
 class TestComponents:
     def test_two_triangles_sharing_a_vertex(self):
         backend = GraphicMatroid(
@@ -329,6 +296,9 @@ class TestBuilderCircuit:
                 circuit = builder.circuit(f)
                 assert len(circuit) == len(set(circuit))
                 assert set(circuit) == {f, *(g for g in basis if view.swap(basis, g, f))}
+                # minimally dependent
+                assert not view.is_independent(circuit)
+                assert all(view.is_independent(set(circuit) - {x}) for x in circuit)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_growing_restriction_matches_the_swap_test_rule(self, seed):
