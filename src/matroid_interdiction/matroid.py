@@ -379,7 +379,7 @@ class MatroidView:
 
 
 class GrowingRestriction:
-    """A restriction that only grows, with its greedy basis and its coloops.
+    """A restriction that only grows, with its coloops.
 
     Inserting ``f`` either raises the rank, and then ``f`` joins the basis
     and becomes a coloop while every old coloop stays one, or it does not,
@@ -388,15 +388,13 @@ class GrowingRestriction:
     is itself).  The builder names that circuit for its own basis, so the
     coloops merge by one intersection and no independence test; with no
     coloop left, the circuit is not asked for.  Inserting a set one element
-    at a time, in any order, ends at that set's coloops; the basis is the
-    builder's greedy basis of the insertion order.
+    at a time, in any order, ends at that set's coloops.
     """
 
-    __slots__ = ("builder", "basis", "coloops")
+    __slots__ = ("builder", "coloops")
 
     def __init__(self, view: MatroidView, elements: Iterable[int] = ()):
         self.builder = view.backend.builder()
-        self.basis: set[int] = set()
         self.coloops: set[int] = set()
         for f in elements:
             self.add(f)
@@ -405,7 +403,6 @@ class GrowingRestriction:
         """Insert ``f``: (the rank grew, some coloops merged into ``f``'s
         component)."""
         if self.builder.add(f):
-            self.basis.add(f)
             self.coloops.add(f)
             return True, False
         if not self.coloops:

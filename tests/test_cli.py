@@ -22,7 +22,7 @@ from matroid_interdiction import (
     solve_intervals,
     solve_naive,
 )
-from matroid_interdiction.cli import _overfull_window, build_parser, main
+from matroid_interdiction.cli import _overfull_window, build_parser, main, run
 from matroid_interdiction.instances import load_instance, parse_solution
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
@@ -810,6 +810,25 @@ class TestOneParserPerProcess:
         assert [code for code, *_ in in_process] == [0, 0, 1, 0, 0, 0]
         # 3 and then 16 samples, plus the cut at 1/2: --samples did not carry over
         assert [written.count(b"\n") - 1 for *_, written in in_process[:2]] == [5, 18]
+
+
+class TestConsoleEntryPoint:
+    """``run``, the ``[project.scripts]`` entry point, exits with ``main``'s code."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check", "--in", str(FIXTURE_DIR / "C4P.json")], 0),
+            (["check", "--in", str(FIXTURE_DIR / "bridge.json")], 2),
+            (["solve", "--algorithm", "fastest"], 1),
+        ],
+        ids=["check-c4p", "check-bridge", "usage-error"],
+    )
+    def test_exit_code(self, argv, code, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["matroid-interdiction", *argv])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == code
 
 
 class TestOverfullWindow:

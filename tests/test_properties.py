@@ -836,7 +836,6 @@ def test_growing_restriction_keeps_the_coloops_in_any_insertion_order(backend, d
         new_rank = subset_rank(backend, order[: i + 1])
         new_coloops = rank_drop_coloops(backend, order[: i + 1])
         assert grower.coloops == new_coloops
-        assert grower.basis == builder_greedy(backend, order[: i + 1])
         assert (grew, merged) == (new_rank > rank, bool(coloops - new_coloops))
         rank, coloops = new_rank, new_coloops
 
