@@ -8,29 +8,22 @@ assembler over artifacts that are built once per instance and passed down:
   optimum once.  The gains replay the plain schedule's walk over the
   crossings, keeping the optimum with each basis member deleted as the basis
   minus it plus its replacement element (every other deleted optimum is the
-  plain one, a gain of 0), so a crossing records only the members it
-  touches.  Only a crossing of two non-basis elements runs independence
-  tests, one per member whose replacement is the lighter-before one.
-  :func:`removal_value_functions` gives the removal optima themselves, the
-  plain optimum plus each gain; no solver or CLI verb needs them, since
-  ``check`` reads its coverage and swap checks off the gains too.
+  plain one, a gain of 0).  :func:`removal_value_functions` gives the
+  removal optima themselves; no solver or CLI verb needs them.
 * :func:`window_solution` solves each window between the crossings that
   :func:`find_candidates` keeps (rank growth or singleton-component
-  absorption in growing restrictions, one :class:`.GrowingRestriction` per
-  element) from the basis, found by one greedy run, and its replacement
-  elements.  The basis and replacements carry over a candidate value that
-  holds a single crossing of the instance and cannot change them, which at
-  most one swap test per affected member decides, so each run of windows
-  joined by such values is solved once, by one integer hull pass over its
-  removal lines; one :meth:`.PWLFunction.build` checks and joins all the
-  runs.
+  absorption in growing restrictions) from the basis, found by one greedy
+  run, and its replacement elements.  A run of windows joined by candidate
+  values that change neither is solved once, by one integer hull pass over
+  its removal lines; one :meth:`.PWLFunction.build` joins all the runs.
 
-:func:`solve_naive` and :func:`solve_intervals` compose them from an instance.
-Both refuse instances with coloops (interdicting such an element makes the
-objective infinite) or of rank 0, through :func:`.checked_view`, before they
-enumerate a crossing.  :func:`doubled_instance` adds a parallel twin per
-element, which forces the interdicted optimum to collapse onto the plain
-optimum -- a handy self-test.
+Both routes follow the basis and the replacements across an isolated
+crossing by one rule, :func:`_replacement_changes`.  :func:`solve_naive` and
+:func:`solve_intervals` compose them from an instance, after one
+:func:`.checked_view` before any crossing is enumerated: it refuses coloops
+(interdicting one makes the objective infinite) and rank 0.
+:func:`doubled_instance` adds a parallel twin per element, which forces the
+interdicted optimum to collapse onto the plain optimum -- a handy self-test.
 """
 
 from __future__ import annotations
@@ -64,23 +57,17 @@ def removal_gains(inst: MatroidInstance, schedule: BasisSchedule) -> dict[int, P
     ``B - g + r[g]``, ``r[g]`` its cheapest replacement element, so its gain
     is the line ``w(r[g]) - w(g)``; deleting any other element gains 0.  One
     :meth:`.MatroidView.replacement_element` scan per member seeds ``r`` at
-    the start, and replaying the ``walk`` of ``schedule`` (the instance's
-    :func:`parametric_min_basis`), each crossing e->f an isolated crossing
-    of the id-perturbed instance, updates it:
-
-    * at the schedule's next swap, e leaves ``B`` and gains 0, f enters with
-      ``r[f] = e``, members with ``r[g] == f`` take e, and no other gain
-      moves, without an independence test;
-    * with e and f outside ``B``, each member with ``r[g] == e`` takes one
-      swap test (:func:`_yielding_to`) and those that pass take f;
-    * no other crossing changes anything.
-
-    So a crossing records only the gains it changes.  Changes at one value
-    collapse into the last one.  Gains stay integer pairs over
-    :attr:`MatroidInstance.scaled` until they become pieces, and every gain
-    is continuous, so each :meth:`.PWLFunction.build` checks every cut.  The
-    elements that hold no place in the basis on an interval of positive
-    length (see :func:`_lasting_members`) share one zero function.
+    the start.  Replaying the ``walk`` of ``schedule`` (the instance's
+    :func:`parametric_min_basis`), whose crossings are isolated ones of the
+    id-perturbed instance, updates it by :func:`_replacement_changes`, given
+    the schedule's next basis at its next swap (so a swap runs no
+    independence test), and a crossing records only the gains it changes.
+    Changes at one value collapse into the last one.  Gains stay integer
+    pairs over :attr:`MatroidInstance.scaled` until they become pieces, and
+    every gain is continuous, so each :meth:`.PWLFunction.build` checks
+    every cut.  The elements that hold no place in the basis on an interval
+    of positive length (see :func:`_lasting_members`) share one zero
+    function.
     """
     basis = schedule.bases[0]
     view = inst.view()
@@ -105,22 +92,22 @@ def removal_gains(inst: MatroidInstance, schedule: BasisSchedule) -> dict[int, P
     main_swaps = zip(schedule.swaps, schedule.bases[1:])
     main_swap, next_basis = next(main_swaps, (None, None))
     for pt in schedule.walk:
-        e, f, lam = pt.lighter_before, pt.lighter_after, pt.lam
+        e, f = pt.lighter_before, pt.lighter_after
         if (e, f) == main_swap:
-            del replacement[e]
-            record(e, lam, _NO_GAIN)
-            for g, r in replacement.items():
-                if r == f:
-                    replacement[g] = e  # B - g + f is still the optimum without g
-                    record(g, lam, gain(g, e))
-            replacement[f] = e
-            record(f, lam, gain(f, e))
-            basis = next_basis
+            after = next_basis
             main_swap, next_basis = next(main_swaps, (None, None))
-        elif e not in basis and f not in basis:
-            for g in list(_yielding_to(view, basis, replacement, e, f)):
-                replacement[g] = f
-                record(g, lam, gain(g, f))
+        elif e in basis or f in basis:
+            continue
+        else:
+            after = basis
+        for g, r in _replacement_changes(view, basis, after, replacement, e, f):
+            if r is None:
+                del replacement[g]
+                record(g, pt.lam, _NO_GAIN)
+            else:
+                replacement[g] = r
+                record(g, pt.lam, gain(g, r))
+        basis = after
 
     zero_line = inst.sums_line(_NO_GAIN)
     zero = PWLFunction.from_line(inst.interval, zero_line)
@@ -287,17 +274,22 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
     interdicted optimum is the upper envelope of those lines.
 
     The basis ``B`` and the replacements stay in force across a candidate
-    value that can change neither (:func:`_carries_over`), so a run of
-    windows joined by such values takes one greedy run, one replacement scan
-    per member and one integer hull pass (:func:`.upper_hull`) over its
-    lines, kept as integer sums over :attr:`.MatroidInstance.scaled`; only
-    the hull's winners become :class:`.LinearFn` pieces.  Every
-    run appends to the same cuts, pieces and labels, with the run's end as a
-    cut, and one :meth:`.PWLFunction.build` on the instance interval checks
-    every cut, seams included, and merges each seam across which neither the
-    line nor the label changes.
+    value that holds a single crossing e->f of the whole instance (its
+    entry's ``lone`` mark: a twin of e or f would cross the other at the same
+    value) at which :func:`_replacement_changes` names no change, given the
+    basis after it, :meth:`.MatroidView.swap` of e for f or else ``B``.  So
+    a run of windows joined by such values takes one greedy run, one
+    replacement scan per member and one integer hull pass
+    (:func:`.upper_hull`) over its lines, kept as integer sums over
+    :attr:`.MatroidInstance.scaled`; only the hull's winners become
+    :class:`.LinearFn` pieces.  Every run appends to the same cuts, pieces
+    and labels, with the run's end as a cut, and one
+    :meth:`.PWLFunction.build` on the instance interval checks every cut,
+    seams included, and merges each seam across which neither the line nor
+    the label changes.  The instance must have passed :func:`.checked_view`,
+    as in :func:`solve_intervals` or before a sweep.
     """
-    view = checked_view(inst)
+    view = inst.view()
     scale, a, b = inst.scaled
     # The first candidate entry at each candidate value, in order.
     firsts = [next(group) for _, group in groupby(
@@ -316,8 +308,11 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
             weight_at = inst.weights_at(rep)
             replacements = {e: view.replacement_element(basis, e, weight_at)
                             for e in sorted(basis)}
-        if i < len(firsts) and _carries_over(view, basis, replacements, firsts[i]):
-            continue
+        if i < len(firsts) and firsts[i].lone:
+            e, f = firsts[i].point.lighter_before, firsts[i].point.lighter_after
+            after = view.swap(basis, e, f) or basis
+            if next(_replacement_changes(view, basis, after, replacements, e, f), None) is None:
+                continue
         sa, sb = inst.basis_sums(basis)
         lines = [(sa - a[e] + a[r], sb - b[e] + b[r], e, None)
                  for e, r in replacements.items()]
@@ -335,38 +330,32 @@ def window_solution(inst: MatroidInstance, candidates: CandidateSet) -> Solution
     return build_solution(inst, PWLFunction.build(inst.interval, cuts, pieces, labels))
 
 
-def _carries_over(
-    view: MatroidView,
-    basis: frozenset[int],
-    replacements: dict[int, int],
-    first: CandidateEntry,
-) -> bool:
-    """Whether the basis and replacements left of a candidate value hold right of it.
+def _replacement_changes(
+    view: MatroidView, basis: frozenset[int], after: frozenset[int],
+    replacements: dict[int, int], e: int, f: int,
+) -> Iterator[tuple[int, int | None]]:
+    """The changes ``(g, r[g])`` to the replacements at an isolated crossing
+    e->f, lazily; ``after`` is the basis right of it, ``basis - e + f`` at a
+    swap and ``basis`` itself otherwise.
 
-    ``first`` is the value's first candidate entry.  Only a value with
-    exactly one crossing e->f of the whole instance can carry them, which
-    the entry's ``lone`` mark records (identical lines never cross, and a
-    twin of e or f would cross the other at the same value): then the
-    (weight, id) order right of it is the order left of it with e and f
-    swapped.  That changes the basis only if :meth:`.MatroidView.swap`
-    exchanges e for f, and with both outside it, only the replacements of
-    the members that :func:`_yielding_to` names.
+    Right of the crossing the (weight, id) order is the one left of it with
+    e and f exchanged.  At a swap e leaves (``None``), and every member
+    holding f, then f itself, take e, with no independence test.  With e and
+    f both outside ``basis``, the members holding e for which ``basis - g +
+    f`` is independent take f, one swap test each.  Nothing else changes.
+    e and f are named outside the member loop, so a caller may apply each
+    change to ``replacements`` as it comes.
     """
-    if not first.lone:
-        return False
-    e, f = first.point.lighter_before, first.point.lighter_after
-    if e in basis or f in basis:
-        return view.swap(basis, e, f) is None
-    return next(_yielding_to(view, basis, replacements, e, f), None) is None
-
-
-def _yielding_to(
-    view: MatroidView, basis: frozenset[int], replacements: dict[int, int], e: int, f: int
-) -> Iterator[int]:
-    """At a crossing e->f outside ``basis``, the members whose replacement e
-    yields to f, lazily: those holding e, with ``basis - g + f`` independent."""
-    return (g for g, r in replacements.items()
-            if r == e and view.swap(basis, g, f) is not None)
+    if after is not basis:
+        yield e, None
+        for g, r in replacements.items():
+            if r == f and g != e:  # basis - g + f is still the optimum without g
+                yield g, e
+        yield f, e
+    else:
+        for g, r in replacements.items():
+            if r == e and view.swap(basis, g, f) is not None:
+                yield g, f
 
 
 def doubled_instance(inst: MatroidInstance) -> MatroidInstance:

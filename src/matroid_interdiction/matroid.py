@@ -139,17 +139,23 @@ class _GraphicBuilder:
     """A union-find for ``add``, and the forest it grows as parent links for
     ``circuit``: each node's ``(parent, edge to it)``, None at a root."""
 
-    __slots__ = ("edges", "dsu", "up")
+    __slots__ = ("edges", "parent", "up")
 
     def __init__(self, backend: GraphicMatroid):
         self.edges = backend.edges
-        self.dsu = _DisjointSet(backend.node_count)
+        self.parent = list(range(backend.node_count))
         self.up: list[tuple[int, int] | None] = [None] * backend.node_count
 
     def add(self, e: int) -> bool:
-        u, v = self.edges[e]
-        if u == v or not self.dsu.union(u, v):
+        u, v = ru, rv = self.edges[e]
+        parent = self.parent
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
+        if ru == rv:
             return False
+        parent[rv] = ru
         # Re-root v's tree at v by reversing its path to the root, then hang
         # it below u through e.
         up = self.up

@@ -115,9 +115,10 @@ TIED = {
 
 
 def count_artifact_builds(monkeypatch) -> Counter:
-    """Count every route to a sweep, a crossing enumeration, a candidate
-    filter, a grouping of crossings by value and a bundle ordering, including
-    the names other modules imported from their module."""
+    """Count every route to the interdiction gate, a sweep, a crossing
+    enumeration, a candidate filter, a grouping of crossings by value and a
+    bundle ordering, including the names other modules imported from their
+    module."""
     calls = Counter()
 
     def counted(name, original):
@@ -132,6 +133,7 @@ def count_artifact_builds(monkeypatch) -> Counter:
         if name.startswith("matroid_interdiction.")
     ]
     for home, name in (
+        (parametric, "checked_view"),
         (parametric, "parametric_min_basis"),
         (parametric, "interior_crossings"),
         (parametric, "group_by_lambda"),
@@ -221,8 +223,11 @@ class TestSolve:
         out = tmp_path / "sol.json"
         src = instance_file(C4P)
         assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 0
-        # C4P crosses at three distinct values, each a lone crossing.
+        # C4P crosses at three distinct values, each a lone crossing.  The
+        # sweep runs the gate; the oracle, the trust anchor, runs its own.
+        gates = {"naive": 1, "intervals": 1, "oracle": 2}[algorithm]
         assert calls == {
+            "checked_view": gates,
             "parametric_min_basis": 1, "interior_crossings": 1, "find_candidates": 1,
             "group_by_lambda": 1, "perturbed_bundle_order": 3,
         }
@@ -312,8 +317,11 @@ class TestCheck:
         calls = count_artifact_builds(monkeypatch)
         assert main(["check", "--in", instance_file(C4P)]) == 0
         # one sweep and one enumeration each for the input and its double,
-        # which both cross at the same three values
+        # which both cross at the same three values; the gate runs in each
+        # sweep, in the oracle and in the spot check of each of the naive
+        # solution's two segments
         assert calls == {
+            "checked_view": 5,
             "parametric_min_basis": 2, "interior_crossings": 2, "find_candidates": 1,
             "group_by_lambda": 2, "perturbed_bundle_order": 6,
         }

@@ -35,7 +35,7 @@ from matroid_interdiction import interdiction, parametric, pwl
 from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.instances import dump_solution
 from matroid_interdiction.parametric import CoincidentEqualityPointsWarning, interior_crossings
-from matroid_interdiction.rationals import extended
+from matroid_interdiction.rationals import extended, interior_point
 from randinst import (
     parallel_classes,
     prime_graphic,
@@ -309,6 +309,82 @@ class TestSolveIntervals:
                     if (lo is None or c > lo) and (hi is None or c < hi)
                 ]
                 assert len(inside) <= k - 1
+
+
+def reference_state(inst: MatroidInstance, lam: Fraction):
+    """The (weight, id)-minimum basis at ``lam`` and each member's replacement:
+    the one element that the optimum without the member adds to the rest of
+    the basis, both grown by the backend's builder."""
+    key = inst.weights_at(lam)
+    basis = subset_min_basis(inst.backend, range(inst.m), key)
+    replacements = {}
+    for g in sorted(basis):
+        (replacements[g],) = subset_min_basis(
+            inst.backend, (x for x in range(inst.m) if x != g), key) - basis
+    return basis, replacements
+
+
+def applied(changes, replacements: dict) -> dict:
+    """``replacements`` after ``changes``, each applied as it comes."""
+    for g, r in changes:
+        if r is None:
+            del replacements[g]
+        else:
+            replacements[g] = r
+    return replacements
+
+
+class TestReplacementChanges:
+    """The one crossing rule of both routes, against from-scratch references
+    left and right of every lone crossing."""
+
+    @staticmethod
+    def instances(family: str):
+        rng = random.Random(11)
+        for _ in range(12):
+            if family == "generic":
+                yield random_graphic(rng, n_range=(5, 7), m_max=14, coeff=10**6)
+            elif family == "tied":
+                yield random_graphic(rng, n_range=(4, 6), m_max=12, coeff=3)
+            else:
+                yield parallel_classes(rng, [rng.randint(2, 4) for _ in range(3)], coeff=4)
+
+    @pytest.mark.parametrize("family", ["generic", "tied", "parallel classes"])
+    def test_changes_lead_to_the_reference_right_of_every_lone_crossing(self, family):
+        seen = Counter()
+        for inst in self.instances(family):
+            view = inst.view()
+            points = interior_crossings(inst)
+            shared = Counter(pt.lam for pt in points)
+            seen["tied values"] += sum(1 for count in shared.values() if count > 1)
+            ends = [inst.interval.lo, *(extended(pt.lam) for pt in points),
+                    inst.interval.hi]
+            for i, pt in enumerate(points):
+                if shared[pt.lam] > 1:
+                    continue
+                e, f = pt.lighter_before, pt.lighter_after
+                basis, replacements = reference_state(
+                    inst, interior_point(ends[i], ends[i + 1]))
+                expected = reference_state(inst, interior_point(ends[i + 1], ends[i + 2]))
+                after = view.swap(basis, e, f) or basis
+                if after is not basis:
+                    seen["swaps"] += 1
+                    # f was e's replacement; the member loop must not map e
+                    # back to itself.
+                    assert replacements[e] == f
+                changes = list(interdiction._replacement_changes(
+                    view, basis, after, replacements, e, f))
+                seen["changed"] += bool(changes)
+                # Applied after the whole listing, or one by one while the
+                # generator still walks the dict it changes.
+                assert (after, applied(changes, dict(replacements))) == expected
+                in_place = dict(replacements)
+                assert applied(interdiction._replacement_changes(
+                    view, basis, after, in_place, e, f), in_place) == expected[1]
+                # No change named exactly when the state carries over.
+                assert bool(changes) == ((basis, replacements) != expected)
+        assert seen["swaps"] > 0 and seen["changed"] > seen["swaps"]
+        assert (seen["tied values"] > 0) == (family != "generic")
 
 
 class TestWindowCarryOver:
