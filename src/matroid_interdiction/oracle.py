@@ -3,11 +3,13 @@
 This module is the trust anchor: it never touches the sweep machinery in
 :mod:`.interdiction` or the greedy kernels (only the backends' builders, the
 envelope primitives and the shared interdiction precondition), and it
-deliberately considers every element as an interdiction target, deleted by
-leaving it out, in every window instead of exploiting the fact that only
-basis members matter.
+deliberately considers every element as an interdiction target in every
+window instead of exploiting the fact that only basis members matter.
 A disagreement with the fast solvers therefore localizes bugs in whichever
-structural shortcut they rely on.
+structural shortcut they rely on.  At each point the ground set is sorted
+once by (weight, id), and each deletion's optimum is grown by a fresh
+builder over that order with the deleted element skipped: that is greedy on
+the restriction in the order it inherits (Edmonds, 1971).
 
 :func:`compare` is exact: it probes every value cut and finite segment end of
 both solutions, a point past each infinite end, then every gap's midpoint.
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 from .matroid import Backend, WeightAt
 from .parametric import MatroidInstance, checked_view
@@ -28,12 +31,15 @@ from .rationals import ParamInterval, extended
 from .solution import Solution, build_solution
 
 
-def _reference_min_basis(backend: Backend, elements, weight_at: WeightAt) -> frozenset[int]:
-    """The (weight, id)-minimum basis of the restriction to ``elements``, grown
-    by the backend's incremental builder rather than the solvers' greedy kernel."""
-    builder = backend.builder()
-    order = sorted(elements, key=lambda e: (weight_at(e), e))
-    return frozenset(e for e in order if builder.add(e))
+def _deletion_optima(
+    backend: Backend, weight_at: WeightAt
+) -> Iterator[tuple[int, frozenset[int]]]:
+    """Each element ``e`` with the (weight, id)-minimum basis without it, grown
+    by a fresh builder over the one sorted ground set with ``e`` skipped."""
+    order = sorted(range(backend.size), key=lambda e: (weight_at(e), e))
+    for e in range(backend.size):
+        builder = backend.builder()
+        yield e, frozenset(x for x in order if x != e and builder.add(x))
 
 
 def interdict_at(inst: MatroidInstance, lam: Fraction) -> tuple[Fraction, int]:
@@ -46,17 +52,10 @@ def interdict_at(inst: MatroidInstance, lam: Fraction) -> tuple[Fraction, int]:
         raise ValueError(f"{lam} outside {inst.interval}")
     checked_view(inst)
     weight_at = inst.weights_at(lam)
-    best_value: Fraction | None = None
-    best_element = -1
-    for e in range(inst.m):
-        others = (x for x in range(inst.m) if x != e)
-        basis = _reference_min_basis(inst.backend, others, weight_at)
-        value = sum(weight_at(x) for x in basis)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_element = e
-    assert best_value is not None
-    return best_value, best_element
+    optima = _deletion_optima(inst.backend, weight_at)
+    values = [sum(map(weight_at, basis)) for _, basis in optima]
+    best = max(values)
+    return best, values.index(best)
 
 
 def solve_bruteforce(inst: MatroidInstance) -> Solution:
@@ -85,20 +84,14 @@ def solve_bruteforce(inst: MatroidInstance) -> Solution:
     labels: list[int] = []
     for i in range(len(bounds) - 1):
         window = ParamInterval(bounds[i], bounds[i + 1])
-        rep = window.representative()
-        weight_at = inst.weights_at(rep)
-        lines = []
-        for e in range(inst.m):
-            others = (x for x in range(inst.m) if x != e)
-            basis = _reference_min_basis(inst.backend, others, weight_at)
-            lines.append((e, inst.basis_line(basis)))
+        weight_at = inst.weights_at(window.representative())
+        lines = [(e, inst.basis_line(b)) for e, b in _deletion_optima(inst.backend, weight_at)]
         local = envelope_of_lines(lines, window)
-        for j, piece in enumerate(local.pieces):
-            if pieces:
-                cuts.append(local.cuts[j - 1] if j > 0 else crossings[i - 1])
-            pieces.append(piece)
-            assert local.labels is not None
-            labels.append(local.labels[j])
+        if i > 0:
+            cuts.append(crossings[i - 1])
+        cuts += local.cuts
+        pieces += local.pieces
+        labels += local.labels
 
     stitched = PWLFunction.build(inst.interval, cuts, pieces, labels)
     return build_solution(inst, stitched)

@@ -206,15 +206,6 @@ class PWLFunction:
     def value_at(self, lam: Fraction) -> Fraction:
         return self.pieces[self.piece_index(lam)](lam)
 
-    def label_at(self, lam: Fraction) -> int | None:
-        """Winning label at ``lam``; at a cut, the smaller adjacent label."""
-        if self.labels is None:
-            return None
-        idx = self.piece_index(lam)
-        if idx < len(self.cuts) and self.cuts[idx] == lam:
-            return min(self.labels[idx], self.labels[idx + 1])
-        return self.labels[idx]
-
     def drop_labels(self) -> "PWLFunction":
         """The same function unlabeled; label-only cuts merge, nothing is re-checked."""
         if self.labels is None:

@@ -14,6 +14,7 @@ from matroid_interdiction.matroid import (
 )
 from matroid_interdiction.parametric import interior_crossings
 
+from binary import FANO, FANO_DUAL, random_binary
 from randinst import parallel_classes, random_graphic, random_uniform, tangent_uniform
 from subsets import subset_min_basis, subset_rank
 
@@ -252,14 +253,18 @@ def loopy_multigraph(rng: random.Random) -> GraphicMatroid:
 
 
 def circuit_backends(seed: int, count: int) -> list:
-    """Graphic, uniform and doubled backends of either, drawn from ``seed``."""
+    """Graphic, uniform and doubled backends of either, drawn from ``seed``,
+    then half as many binary ones and doubles of them, then F7 and F7*."""
     rng = random.Random(seed)
     backends = []
     for _ in range(count):
         m = rng.randint(0, 8)
         plain = loopy_multigraph(rng) if rng.random() < 0.6 else UniformMatroid(m, rng.randint(0, m))
         backends.append(DoubledMatroid(plain) if rng.random() < 0.3 else plain)
-    return backends
+    for _ in range(count // 2):
+        plain = random_binary(rng, 9, rank_range=(1, 5))
+        backends.append(DoubledMatroid(plain) if rng.random() < 0.3 else plain)
+    return backends + [FANO, FANO_DUAL]
 
 
 class SwapTestRestriction:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,10 +18,12 @@ from matroid_interdiction import (
     solve_bruteforce,
     solve_naive,
 )
+from matroid_interdiction.oracle import _deletion_optima
 from matroid_interdiction.pwl import PWLFunction
 from matroid_interdiction.rationals import extended
 
 from randinst import random_graphic, random_rational, random_uniform, sample_window
+from subsets import subset_min_basis
 
 
 class TestInterdictAt:
@@ -42,6 +45,50 @@ class TestInterdictAt:
     def test_rejects_coloops(self, bridge):
         with pytest.raises(ColoopError):
             interdict_at(bridge, Fraction(1, 2))
+
+
+def tied_instances(kind: str, count=12) -> list:
+    """Seeded instances with coefficients in [-2, 2], so that many weights tie
+    at each crossing value, on bounded and unbounded intervals."""
+    rng = random.Random(f"tied-{kind}")
+    insts = []
+    for i in range(count):
+        interval = [(-3, 3), ("-inf", "inf"), (0, "inf")][i % 3]
+        if kind == "uniform" or (kind == "doubled" and i % 2):
+            inst = random_uniform(rng, m_max=9, coeff=2, interval=interval)
+        else:
+            inst = random_graphic(rng, n_range=(3, 6), m_max=10, coeff=2, interval=interval)
+        insts.append(doubled_instance(inst) if kind == "doubled" else inst)
+    return insts
+
+
+def crossings_and_window_points(inst) -> list[Fraction]:
+    """Every crossing value inside the interval, then one interior point of
+    each window between consecutive crossing values."""
+    crossings = {
+        Fraction(v.a - u.a, u.b - v.b) for u, v in combinations(inst.weights, 2) if u.b != v.b
+    }
+    values = sorted(filter(inst.interval.strictly_inside, crossings))
+    bounds = [inst.interval.lo, *map(extended, values), inst.interval.hi]
+    windows = [ParamInterval(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return values + [window.representative() for window in windows]
+
+
+class TestDeletionOptima:
+    @pytest.mark.parametrize("kind", ["graphic", "uniform", "doubled"])
+    def test_one_sort_matches_the_subset_reference_on_ties(self, kind):
+        for inst in tied_instances(kind):
+            for lam in crossings_and_window_points(inst):
+                weight_at = inst.weights_at(lam)
+                optima = list(_deletion_optima(inst.backend, weight_at))
+                assert [e for e, _ in optima] == list(range(inst.m))
+                values = []
+                for e, basis in optima:
+                    others = [x for x in range(inst.m) if x != e]
+                    assert basis == subset_min_basis(inst.backend, others, weight_at)
+                    values.append(sum(weight_at(x) for x in basis))
+                best = max(values)
+                assert interdict_at(inst, lam) == (best, values.index(best))
 
 
 class TestSolveBruteforce:

@@ -454,7 +454,7 @@ def test_line_envelope_is_the_pointwise_maximum(case):
     # Between events the maximizers are fixed: the label is the smallest one.
     for lam in between:
         top = max(line(lam) for _, line in lines)
-        assert env.label_at(lam) == min(
+        assert env.labels[env.piece_index(lam)] == min(
             label for label, line in lines if line(lam) == top
         )
 

@@ -84,9 +84,7 @@ class TestPWLConstruction:
             WINDOW, [Fraction(1)], [F(0, 1), F(0, 1)], labels=[3, 5]
         )
         assert f.cuts == (Fraction(1),)
-        assert f.label_at(Fraction(1, 2)) == 3
-        assert f.label_at(Fraction(3, 2)) == 5
-        assert f.label_at(Fraction(1)) == 3  # smaller adjacent label at the cut
+        assert f.labels == (3, 5)
         assert f.drop_labels().cuts == ()
 
 class TestEnvelopeOfLines:
@@ -136,7 +134,7 @@ class TestEnvelopeOfLines:
                 expected = max(fn(lam) for _, fn in lines)
                 assert env.value_at(lam) == expected
                 winners = {i for i, fn in lines if fn(lam) == expected}
-                label = env.label_at(lam)
+                label = env.labels[env.piece_index(lam)]
                 assert label in winners
                 winning_forms = {(fn.a, fn.b) for i, fn in lines if i in winners}
                 if len(winning_forms) == 1 and lam not in env.cuts:
@@ -226,12 +224,12 @@ class TestEnvelopeOfPWL:
                 if lam in input_cuts:
                     continue
                 winners = {label for label, fn in fs if fn.value_at(lam) == best}
-                assert env.label_at(lam) in winners
+                assert env.labels[env.piece_index(lam)] in winners
                 local_pieces = {
                     fn.pieces[fn.piece_index(lam)] for label, fn in fs if label in winners
                 }
                 if len(local_pieces) == 1:
-                    assert env.label_at(lam) == min(winners)
+                    assert env.labels[env.piece_index(lam)] == min(winners)
             # One input defined on ``window`` only: a wider window must fail.
             narrow = fs + [(10, PWLFunction.from_line(window, F(0, 0)))]
             for outside in (ParamInterval.closed(-1, 2), ParamInterval.closed(2, "inf")):
