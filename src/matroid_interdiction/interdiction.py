@@ -28,6 +28,7 @@ interdicted optimum to collapse onto the plain optimum -- a handy self-test.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
@@ -62,10 +63,14 @@ def removal_gains(inst: MatroidInstance, schedule: BasisSchedule) -> dict[int, P
     id-perturbed instance, updates it by :func:`_replacement_changes`, given
     the schedule's next basis at its next swap (so a swap runs no
     independence test), and a crossing records only the gains it changes.
+    A crossing with both ends outside the basis can change only the members
+    holding its e, so the walk counts how many members hold each element
+    and skips such a crossing when none holds its e.
     Changes at one value collapse into the last one.  Gains stay integer
     pairs over :attr:`MatroidInstance.scaled` until they become pieces, and
     every gain is continuous, so each :meth:`.PWLFunction.build` checks
-    every cut.  The elements that hold no place in the basis on an interval
+    every cut; each distinct gain becomes one shared :class:`.LinearFn`.
+    The elements that hold no place in the basis on an interval
     of positive length (see :func:`_lasting_members`) share one zero
     function.
     """
@@ -74,6 +79,7 @@ def removal_gains(inst: MatroidInstance, schedule: BasisSchedule) -> dict[int, P
     _, a, b = inst.scaled
     order = inst.order_at(start_representative(inst.interval, schedule.points))
     replacement = {g: view.replacement_element(basis, g, order) for g in sorted(basis)}
+    held = Counter(replacement.values())  # members holding each element
 
     def gain(g: int, r: int) -> BasisSums:
         return a[r] - a[g], b[r] - b[g]
@@ -85,7 +91,7 @@ def removal_gains(inst: MatroidInstance, schedule: BasisSchedule) -> dict[int, P
 
     def record(e: int, lam: Fraction, line: BasisSums):
         own = transitions[e]
-        if own[-1][0] == lam:
+        if own[-1][0] is lam:  # one object per value (see BasisSchedule)
             own.pop()  # a zero-width span inside a bundle
         own.append((lam, line))
 
@@ -96,41 +102,50 @@ def removal_gains(inst: MatroidInstance, schedule: BasisSchedule) -> dict[int, P
         if (e, f) == main_swap:
             after = next_basis
             main_swap, next_basis = next(main_swaps, (None, None))
-        elif e in basis or f in basis:
-            continue
+        elif e in basis or f in basis or not held.get(e):
+            continue  # only a member holding e can change here
         else:
             after = basis
         for g, r in _replacement_changes(view, basis, after, replacement, e, f):
+            if g in replacement:
+                held[replacement[g]] -= 1
             if r is None:
                 del replacement[g]
                 record(g, pt.lam, _NO_GAIN)
             else:
                 replacement[g] = r
+                held[r] += 1
                 record(g, pt.lam, gain(g, r))
         basis = after
 
-    zero_line = inst.sums_line(_NO_GAIN)
-    zero = PWLFunction.from_line(inst.interval, zero_line)
+    members = _lasting_members(schedule)
+    # One LinearFn per distinct gain, shared by every piece that carries it.
+    lines = {_NO_GAIN: inst.sums_line(_NO_GAIN)}
+    for e in members:
+        for _, line in transitions[e]:
+            if line not in lines:
+                lines[line] = inst.sums_line(line)
+    zero = PWLFunction.from_line(inst.interval, lines[_NO_GAIN])
     gains = {
         e: PWLFunction.build(
             inst.interval,
             [lam for lam, _ in transitions[e][1:]],
-            [zero_line if line == _NO_GAIN else inst.sums_line(line)
-             for _, line in transitions[e]],
+            [lines[line] for _, line in transitions[e]],
         )
-        for e in _lasting_members(schedule)
+        for e in members
     }
     return {e: gains.get(e, zero) for e in range(inst.m)}
 
 
 def _lasting_members(schedule: BasisSchedule) -> frozenset[int]:
     """The elements in the optimal basis on an interval of positive length:
-    the start basis and the basis after each swap value's last swap.  Any
-    other element of ``schedule.bases`` enters and leaves inside one bundle."""
+    the start basis and the basis after each swap value's last swap, the cut
+    values compared by identity (see :class:`.BasisSchedule`).  Any other
+    element of ``schedule.bases`` enters and leaves inside one bundle."""
     cuts, bases = schedule.cuts, schedule.bases
     return frozenset().union(bases[0], *(
         bases[i + 1] for i in range(len(cuts))
-        if i + 1 == len(cuts) or cuts[i + 1] != cuts[i]))
+        if i + 1 == len(cuts) or cuts[i + 1] is not cuts[i]))
 
 
 def removal_value_functions(
@@ -201,8 +216,18 @@ class CandidateSet:
     entries: tuple[CandidateEntry, ...]
 
     def lambdas(self) -> list[Fraction]:
-        """The distinct candidate values, in order (the entries are sorted)."""
-        return [lam for lam, _ in groupby(entry.point.lam for entry in self.entries)]
+        """The distinct candidate values, in order (the entries are sorted).
+
+        Neighbouring values are compared by identity, then as integer
+        ``(numerator, denominator)`` pairs, as in :func:`find_candidates`.
+        """
+        out: list[Fraction] = []
+        for entry in self.entries:
+            lam = entry.point.lam
+            if not out or (lam is not out[-1]
+                           and lam.as_integer_ratio() != out[-1].as_integer_ratio()):
+                out.append(lam)
+        return out
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -228,7 +253,7 @@ def find_candidates(
     restriction's singleton components apart from loops, which never merge.
     A kept crossing is marked ``lone`` when neither neighbour in the sorted
     ``crossings`` has its value, compared as integer ``(numerator,
-    denominator)`` pairs (``as_integer_ratio``) as in :func:`.group_by_lambda`.
+    denominator)`` pairs (``as_integer_ratio``).
     """
     view = inst.view()
     m = inst.m

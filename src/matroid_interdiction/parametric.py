@@ -14,7 +14,10 @@ crossings as walked in :attr:`BasisSchedule.walk`, which the removal sweep in
 :mod:`.interdiction` replays instead of tracking the main basis itself.
 After each bundle the basis is checked once against a fresh greedy run in
 the order just right of the bundle's value, so a degenerate bundle can never
-silently corrupt the schedule.  The sweep groups the crossings by value once.
+silently corrupt the schedule.  The sweep groups the crossings by value once,
+by the identity of their shared ``Fraction`` (see :func:`interior_crossings`),
+and walks a lone crossing inline: it can swap only a basis member for a
+non-member, so any other costs a membership test and no independence test.
 
 Orders, crossings and basis lines are computed on the instance's weight lines
 scaled to integers (:meth:`MatroidInstance.order_at`,
@@ -33,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .matroid import Backend, ColoopError, MatroidView
@@ -134,7 +137,11 @@ class MatroidInstance:
         With ``lam = p/q`` and ``q > 0``, ``a[e]*q + b[e]*p`` is ``w_e(lam)``
         times the positive constant ``q*scale``, so comparisons and ties agree.
         """
-        p, q = lam.numerator, lam.denominator
+        return self.order_at_ratio(lam.numerator, lam.denominator)
+
+    def order_at_ratio(self, p: int, q: int) -> Callable[[int], int]:
+        """:meth:`order_at` of ``lam = p/q``, ``q > 0``, in lowest terms or not:
+        the keys only scale by a positive constant, which keeps the order."""
         _, a, b = self.scaled
         return [a_e * q + b_e * p for a_e, b_e in zip(a, b)].__getitem__
 
@@ -201,7 +208,10 @@ def interior_crossings(inst: MatroidInstance) -> list[EqualityPoint]:
     spread ``D = max(b) - min(b)``.  That key is exact: ``den <= D``, so two
     different values differ by at least ``1/D**2 > 2**-s`` and get different
     keys, and equal keys mean equal values.  All crossings at one value share
-    one ``Fraction`` object, built when the key changes.
+    one ``Fraction`` object, built when the key changes, and no two values
+    share one: two crossings lie at the same value exactly when their
+    ``lam`` is the same object.  The sweep, :func:`all_equality_points` and
+    the candidate values compare values by that identity.
     """
     _, a, b = inst.scaled
     shift = 2 * (max(b, default=0) - min(b, default=0)).bit_length()
@@ -238,8 +248,9 @@ def all_equality_points(inst: MatroidInstance) -> list[EqualityPoint]:
     they are additionally reported through the warning channel.
     """
     points = interior_crossings(inst)
-    # The values shared by neighbours in the sorted list, each counted once.
-    coincident = len({pt.lam for pt, nxt in zip(points, points[1:]) if pt.lam == nxt.lam})
+    # The values shared by neighbours in the sorted list, each counted once;
+    # a shared value is one shared object (see interior_crossings).
+    coincident = len({id(pt.lam) for pt, nxt in zip(points, points[1:]) if pt.lam is nxt.lam})
     if coincident:
         warnings.warn(
             f"{coincident} parameter value(s) carry more than one crossing; "
@@ -248,15 +259,6 @@ def all_equality_points(inst: MatroidInstance) -> list[EqualityPoint]:
             stacklevel=2,
         )
     return points
-
-
-def group_by_lambda(
-    points: Sequence[EqualityPoint],
-) -> list[tuple[Fraction, list[EqualityPoint]]]:
-    """Sorted crossings grouped by value, compared as integer ``(numerator,
-    denominator)`` pairs: exact, since a ``Fraction`` is always normalized."""
-    groups = groupby(points, key=lambda p: (p.lam.numerator, p.lam.denominator))
-    return [(group[0].lam, group) for group in (list(g) for _, g in groups)]
 
 
 def start_representative(
@@ -304,7 +306,8 @@ def advance_min_basis(
     ``group`` holds every crossing at that value, in the order they are
     walked: a coincident bundle must come in :func:`perturbed_bundle_order`,
     which makes every step an ordinary isolated crossing of the perturbed
-    instance.  A lone crossing needs a single independence test.  A bundle's
+    instance.  A lone crossing needs a single independence test (the sweep
+    walks those inline and sends only bundles here).  A bundle's
     result is verified, as a hard internal invariant, against a fresh greedy
     run on the keys ``right_order_at(value)`` (such as
     :meth:`MatroidInstance.right_order_at`), the order just right of the
@@ -338,7 +341,10 @@ class BasisSchedule:
     value that changed the basis, with the basis's line after that value.
     ``points`` are the sorted crossings (see :func:`interior_crossings`);
     ``walk`` holds the same crossings in the order the sweep walked them,
-    each bundle in :func:`perturbed_bundle_order`.
+    each bundle in :func:`perturbed_bundle_order`.  The crossings at one
+    value share one ``Fraction`` object and no two values share one, and
+    ``cuts`` and the cuts of ``value`` are those objects, so a consumer may
+    compare these values by identity.
     """
 
     cuts: tuple[Fraction, ...]
@@ -370,17 +376,37 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     walk: list[EqualityPoint] = []
     value_cuts: list[Fraction] = []
     lines = [inst.basis_line(basis)]
-    for lam, group in group_by_lambda(points):
-        group = perturbed_bundle_order(group, inst.scaled.b)
-        walk += group
-        basis, applied = advance_min_basis(view, basis, group, inst.right_order_at)
+    i, n = 0, len(points)
+    while i < n:
+        pt = points[i]
+        lam = pt.lam
+        i += 1
+        if i == n or points[i].lam is not lam:  # one object per value
+            # A lone crossing e -> f can swap only e in the basis for f outside it.
+            walk.append(pt)
+            e, f = pt.lighter_before, pt.lighter_after
+            if e not in basis or f in basis:
+                continue
+            swapped = view.swap(basis, e, f)
+            if swapped is None:
+                continue
+            basis = swapped
+            applied = [(e, f, basis)]
+        else:
+            start = i - 1
+            while i < n and points[i].lam is lam:
+                i += 1
+            group = perturbed_bundle_order(points[start:i], inst.scaled.b)
+            walk += group
+            basis, applied = advance_min_basis(view, basis, group, inst.right_order_at)
+            if not applied:
+                continue
         for out, in_, after in applied:
             cuts.append(lam)
             bases.append(after)
             swaps.append((out, in_))
-        if applied:
-            value_cuts.append(lam)
-            lines.append(inst.basis_line(basis))
+        value_cuts.append(lam)
+        lines.append(inst.basis_line(basis))
 
     value = PWLFunction.build(interval, value_cuts, lines)
     slopes = [p.b for p in value.pieces]

@@ -31,7 +31,9 @@ def rational(value: RationalLike) -> Fraction:
     Only integer and ``p/q`` spellings with a nonzero ``q`` are accepted;
     decimal strings and floats are refused so no rounding can sneak in.
     The exact types are tested first: every :class:`.LinearFn` coerces its
-    two coefficients here, and ``bool`` is not ``int`` by ``type``.
+    two coefficients here, and ``bool`` is not ``int`` by ``type``.  Once the
+    pattern has accepted a string, its value is built from the ``int`` of
+    each part rather than parsed again by ``Fraction``.
     """
     if type(value) is Fraction:
         return value
@@ -47,10 +49,13 @@ def rational(value: RationalLike) -> Fraction:
         text = value.strip()
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not an exact rational literal: {value!r}")
-        denominator = text.partition("/")[2]
-        if denominator and int(denominator) == 0:
+        numerator, _, denominator = text.partition("/")
+        if not denominator:
+            return Fraction(int(numerator))
+        q = int(denominator)
+        if q == 0:
             raise ValueError(f"zero denominator: {value!r}")
-        return Fraction(text)
+        return Fraction(int(numerator), q)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -176,10 +181,23 @@ def interior_point(lo: ExtendedRational, hi: ExtendedRational) -> Fraction:
     """
     if not (lo < hi):
         raise ValueError(f"degenerate window: ({lo}, {hi})")
-    if lo.is_finite and hi.is_finite:
-        return (lo.value + hi.value) / 2
+    return Fraction(*interior_ratio(lo, hi))
+
+
+def interior_ratio(lo: ExtendedRational, hi: ExtendedRational) -> tuple[int, int]:
+    """:func:`interior_point` of ``lo < hi`` as integers ``(p, q)``, ``q > 0``,
+    not reduced: the midpoint of ``lp/lq`` and ``hp/hq`` is ``(lp*hq +
+    hp*lq, 2*lq*hq)``.  Integer keys such as
+    :meth:`.MatroidInstance.order_at_ratio` need the point only up to a
+    positive factor, so they take it with no ``Fraction`` arithmetic.
+    """
     if lo.is_finite:
-        return lo.value + 1
+        lp, lq = lo.value.as_integer_ratio()
+        if hi.is_finite:
+            hp, hq = hi.value.as_integer_ratio()
+            return lp * hq + hp * lq, 2 * lq * hq
+        return lp + lq, lq
     if hi.is_finite:
-        return hi.value - 1
-    return Fraction(0)
+        hp, hq = hi.value.as_integer_ratio()
+        return hp - hq, hq
+    return 0, 1

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-from .parametric import MatroidInstance
+from .parametric import BasisSums, MatroidInstance
 from .pwl import LinearFn, PWLFunction
-from .rationals import ParamInterval, interior_point
+from .rationals import ParamInterval, interior_ratio
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,34 +64,40 @@ def build_solution(inst: MatroidInstance, labeled: PWLFunction) -> Solution:
     basis.  When weights tie so hard that a non-basis element shares the
     winning value line, the smallest basis element with the same line is
     reported instead -- its removal is exactly as damaging.  The basis and
-    the replacement scans of each piece use the integer order keys
-    (:meth:`.MatroidInstance.order_at`) at the piece's interior point.
+    the replacement scans of each piece use integer order keys
+    (:meth:`.MatroidInstance.order_at_ratio`) at the piece's interior point,
+    taken as an unreduced integer ratio (:func:`.interior_ratio`), and each
+    ``basis - most_vital + replacement`` identity is checked on integer sums
+    over :attr:`.MatroidInstance.scaled` against the piece's line.
     A piece with the last segment's line and most vital element widens that
     segment, which keeps its basis and replacement.  Segments with equal
     bases share one ``frozenset``.
     """
     view = inst.view()
+    scale = inst.scaled.scale
     segments: list[Segment] = []
     bases: dict[frozenset[int], frozenset[int]] = {}
     for lo, hi, line, label in labeled.piece_windows():
-        rep = interior_point(lo, hi)
-        order = inst.order_at(rep)
+        order = inst.order_at_ratio(*interior_ratio(lo, hi))
         basis = view.greedy_min_basis(order)
         basis = bases.setdefault(basis, basis)
+        sums = inst.basis_sums(basis)
         most_vital = label
         assert most_vital is not None
         if most_vital not in basis:
-            most_vital = _matching_basis_element(inst, view, basis, line, order)
+            most_vital = _matching_basis_element(inst, view, basis, sums, line, order)
         replacement = view.replacement_element(basis, most_vital, order)
         if replacement is None:
             raise AssertionError("replacement vanished on a coloop-free instance")
-        identity = inst.basis_line(basis - {most_vital} | {replacement})
-        if identity != line:
+        identity = _exchanged(inst, sums, most_vital, replacement)
+        if not _is_line(identity, scale, line):
             raise AssertionError(
-                f"segment line {line} does not match basis identity {identity}"
+                f"segment line {line} does not match basis identity "
+                f"{inst.sums_line(identity)}"
             )
         last = segments[-1] if segments else None
-        if last is not None and last.value == line and last.most_vital == most_vital:
+        if (last is not None and (last.value is line or last.value == line)
+                and last.most_vital == most_vital):
             segments[-1] = replace(last, window=ParamInterval(last.window.lo, hi))
         else:
             segments.append(
@@ -100,16 +106,29 @@ def build_solution(inst: MatroidInstance, labeled: PWLFunction) -> Solution:
     return Solution(tuple(segments), labeled.drop_labels())
 
 
+def _exchanged(inst: MatroidInstance, sums: BasisSums, out: int, in_: int) -> BasisSums:
+    """The integer sums of ``basis - out + in_`` from those of ``basis``."""
+    _, a, b = inst.scaled
+    return sums[0] - a[out] + a[in_], sums[1] - b[out] + b[in_]
+
+
+def _is_line(sums: BasisSums, scale: int, line: LinearFn) -> bool:
+    """Whether ``(A + lam*B) / scale`` is ``line``, by cross-multiplication."""
+    (an, ad), (bn, bd) = line.a.as_integer_ratio(), line.b.as_integer_ratio()
+    return sums[0] * ad == an * scale and sums[1] * bd == bn * scale
+
+
 def _matching_basis_element(
     inst: MatroidInstance,
     view,
     basis: frozenset[int],
+    sums: BasisSums,
     line: LinearFn,
     order: Callable[[int], int],
 ) -> int:
+    scale = inst.scaled.scale
     for e in sorted(basis):
         repl = view.replacement_element(basis, e, order)
-        if repl is not None and inst.basis_line(basis - {e} | {repl}) == line:
+        if repl is not None and _is_line(_exchanged(inst, sums, e, repl), scale, line):
             return e
     raise AssertionError("no basis element matches the winning value line")
-

@@ -136,7 +136,6 @@ def count_artifact_builds(monkeypatch) -> Counter:
         (parametric, "checked_view"),
         (parametric, "parametric_min_basis"),
         (parametric, "interior_crossings"),
-        (parametric, "group_by_lambda"),
         (parametric, "perturbed_bundle_order"),
         (interdiction, "find_candidates"),
     ):
@@ -223,14 +222,15 @@ class TestSolve:
         out = tmp_path / "sol.json"
         src = instance_file(C4P)
         assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 0
-        # C4P crosses at three distinct values, each a lone crossing.  The
-        # sweep runs the gate; the oracle, the trust anchor, runs its own.
+        # C4P crosses at three distinct values, each a lone crossing, which
+        # the sweep walks without a bundle order.  The sweep runs the gate;
+        # the oracle, the trust anchor, runs its own.
         gates = {"naive": 1, "intervals": 1, "oracle": 2}[algorithm]
         assert calls == {
             "checked_view": gates,
             "parametric_min_basis": 1, "interior_crossings": 1, "find_candidates": 1,
-            "group_by_lambda": 1, "perturbed_bundle_order": 3,
         }
+        assert calls["perturbed_bundle_order"] == 0
 
     @pytest.mark.parametrize("algorithm", ["naive", "intervals"])
     def test_tied_solve_groups_once_and_orders_each_value_once(
@@ -240,11 +240,12 @@ class TestSolve:
         out = tmp_path / "sol.json"
         src = instance_file(TIED)
         assert main(["solve", "--in", src, "--algorithm", algorithm, "--out", str(out)]) == 0
-        # the main sweep; the tie warning counts its values without a
-        # grouping, and the removal sweep and the window solver reuse the
+        # the main sweep groups the one enumeration's crossings by value and
+        # orders the one bundle, at 0; the lone crossings at -1 and 1 need no
+        # order, and the removal sweep and the window solver reuse the
         # sweep's walk or need none
-        assert calls["group_by_lambda"] == 1
-        assert calls["perturbed_bundle_order"] == 3  # at -1, 0 and 1
+        assert calls["interior_crossings"] == 1
+        assert calls["perturbed_bundle_order"] == 1
 
     @pytest.mark.parametrize("algorithm", ["naive", "intervals", "oracle"])
     def test_rank_zero_exits_1(self, instance_file, tmp_path, capsys, algorithm):
@@ -317,13 +318,15 @@ class TestCheck:
         calls = count_artifact_builds(monkeypatch)
         assert main(["check", "--in", instance_file(C4P)]) == 0
         # one sweep and one enumeration each for the input and its double,
-        # which both cross at the same three values; the gate runs in each
-        # sweep, in the oracle and in the spot check of each of the naive
-        # solution's two segments
+        # which both cross at the same three values: lone crossings in the
+        # input, a bundle of twins at each value in the double, so only the
+        # double's three values are ordered; the gate runs in each sweep, in
+        # the oracle and in the spot check of each of the naive solution's
+        # two segments
         assert calls == {
             "checked_view": 5,
             "parametric_min_basis": 2, "interior_crossings": 2, "find_candidates": 1,
-            "group_by_lambda": 2, "perturbed_bundle_order": 6,
+            "perturbed_bundle_order": 3,
         }
 
     def test_solve_and_check_walk_the_removal_gains_once_per_instance(

@@ -19,7 +19,7 @@ from matroid_interdiction import (
 )
 from matroid_interdiction import interdiction, parametric
 from matroid_interdiction.matroid import MatroidView
-from matroid_interdiction.parametric import group_by_lambda, interior_crossings
+from matroid_interdiction.parametric import interior_crossings
 from matroid_interdiction.rationals import extended, interior_point
 
 from randinst import (
@@ -31,6 +31,7 @@ from randinst import (
     sample_window,
     tangent_uniform,
 )
+from sweep_reference import group_by_lambda
 
 
 class TestAllEqualityPoints:
@@ -156,6 +157,23 @@ class TestParametricMinBasis:
                 weight_at = inst.weights_at(lam)
                 basis = view.greedy_min_basis(weight_at)
                 assert sched.value.value_at(lam) == sum(weight_at(e) for e in basis)
+
+    def test_a_corrupted_bundle_walk_still_raises(self, monkeypatch):
+        # A multigraph on four nodes whose crossings pile up on few values:
+        # walked in the reverse of the perturbed order, the bundle at 1/3
+        # ends at a basis that the greedy check refuses.
+        inst = MatroidInstance(
+            GraphicMatroid(4, ((2, 3), (3, 1), (1, 0), (0, 2), (1, 0), (3, 0), (0, 3), (2, 1))),
+            tuple(LinearFn(a, b) for a, b in (
+                (2, -2), (0, -2), (-2, -2), (2, -2), (1, -1), (1, -2), (2, -1), (1, 1))),
+            ParamInterval.closed(-10, 10),
+        )
+        parametric_min_basis(inst)
+        ordered = parametric.perturbed_bundle_order
+        monkeypatch.setattr(parametric, "perturbed_bundle_order",
+                            lambda group, slopes: ordered(group, slopes)[::-1])
+        with pytest.raises(AssertionError, match="bundle at 1/3: perturbed-order swaps"):
+            parametric_min_basis(inst)
 
 
 def tie_heavy_instances() -> list[MatroidInstance]:

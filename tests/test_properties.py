@@ -31,7 +31,12 @@ one replacement per basis member, against the sweep over k deleted bases that
 it replaced, on multigraphs, uniform instances up to k = m - 1 and doubles;
 on the same instances, the naive solver's labeled envelope of removal gains
 plus the plain optimum against the labeled envelope of that sweep's removal
-optima.  Examples are derandomized so every run checks the same instances.
+optima.  On the same instances and on several swaps at one value, the sweep,
+which walks lone crossings inline, against a sweep that sends every value
+through the bundle order and :func:`.advance_min_basis`, and the gains walk,
+which skips the crossings whose e no member holds, against a walk that skips
+none (``sweep_reference``).  Examples are derandomized so every run checks
+the same instances.
 """
 
 import json
@@ -83,7 +88,6 @@ from matroid_interdiction.parametric import (
     BasisSchedule,
     BasisSums,
     checked_view,
-    group_by_lambda,
     interior_crossings,
     perturbed_bundle_order,
     start_representative,
@@ -91,6 +95,7 @@ from matroid_interdiction.parametric import (
 from matroid_interdiction.rationals import extended
 from matroid_interdiction.solution import Solution, build_solution
 from subsets import subset_min_basis, subset_rank
+from sweep_reference import group_by_lambda, reference_min_basis, reference_removal_gains
 
 INTEGER_COEFF = st.sampled_from(range(-2, 3))
 # Mixed denominators make the common scale of the integer kernel 6, not 1.
@@ -1143,3 +1148,38 @@ def test_plain_optimum_plus_gain_envelope_is_the_removal_envelope(inst):
         assert (id(gains[e]) in shared) == (reference[e] is schedule.value)
         if id(gains[e]) in shared:
             assert gains[e].cuts == () and gains[e].pieces == (LinearFn(0, 0),)
+
+
+@settings(
+    derandomize=True,
+    max_examples=400,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(removal_instances(), swap_bundles()))
+def test_sweep_matches_the_reference_sweep_over_every_value(inst):
+    # The sweep walks lone crossings inline and groups by identity; the
+    # reference sends every value through the bundle order and
+    # advance_min_basis, grouped by integer (numerator, denominator) pairs.
+    found, expected = parametric_min_basis(inst), reference_min_basis(inst)
+    assert found.cuts == expected.cuts
+    assert found.bases == expected.bases
+    assert found.swaps == expected.swaps
+    assert found.walk == expected.walk
+    assert found.value == expected.value
+
+
+@settings(
+    derandomize=True,
+    max_examples=400,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(removal_instances())
+def test_gains_walk_skip_matches_the_walk_without_it(inst):
+    # A crossing with both ends outside the basis whose e no member holds is
+    # skipped; the reference hands every such crossing to the replacement rule.
+    schedule = parametric_min_basis(inst)
+    assert removal_gains(inst, schedule) == reference_removal_gains(inst, schedule)

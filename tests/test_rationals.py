@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_interdiction.rationals import (
     NEG_INF,
@@ -24,6 +26,48 @@ def test_rational_parsing_accepts_int_and_pq():
 def test_rational_parsing_rejects_non_exact(bad):
     with pytest.raises(ValueError):
         rational(bad)
+
+
+@st.composite
+def rational_literals(draw) -> str:
+    """``p`` or ``p/q`` with a sign or none, leading zeros, big ints, ``-0``
+    and surrounding whitespace."""
+    digits = st.one_of(st.integers(0, 99), st.integers(0, 10**60))
+
+    def spelled(value: int) -> str:
+        return "0" * draw(st.integers(0, 3)) + str(value)
+
+    text = draw(st.sampled_from(["", "+", "-"])) + spelled(draw(digits))
+    if draw(st.booleans()):
+        text += "/" + spelled(draw(digits.filter(bool)))
+    space = st.sampled_from(["", " ", "  ", "\t", "\n", " \t"])
+    return draw(space) + text + draw(space)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(rational_literals())
+def test_rational_literal_is_the_fraction_of_its_text(text):
+    value = rational(text)
+    assert type(value) is Fraction
+    assert value == Fraction(text)
+    assert value.as_integer_ratio() == Fraction(text).as_integer_ratio()
+
+
+@pytest.mark.parametrize("text", ["-0", "+0/7", "007/0014", "-00/1", " +12/8\n"])
+def test_rational_literal_edge_spellings(text):
+    assert rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1/0", "zero denominator: '1/0'"),
+    ("1.5", "not an exact rational literal: '1.5'"),
+    ("1e3", "not an exact rational literal: '1e3'"),
+    ("1 / 2", "not an exact rational literal: '1 / 2'"),
+])
+def test_rational_refusals_keep_their_messages(bad, message):
+    with pytest.raises(ValueError) as err:
+        rational(bad)
+    assert str(err.value) == message
 
 
 def test_rational_parsing_rejects_floats_and_bools():
