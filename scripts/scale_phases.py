@@ -5,7 +5,7 @@ nodes plus random chords, integer coefficients in [-10**6, 10**6], the
 interval [-10, 10], ``random.Random(7)``) at m = 200 and 500 (n = 30), the
 doubled m = 200 instance (400 elements, every crossing value a bundle) and,
 with ``--large``, m = 1000 (n = 60).  For each it prints one JSON line: the
-best of ``--repeat`` wall times of the sweep (``parametric_min_basis``,
+best of ``REPEAT`` wall times of the sweep (``parametric_min_basis``,
 crossing enumeration included), ``removal_gains``, the naive tail
 (``naive_solution``) and ``find_candidates``, a few counts, and the sha256
 of the solution's canonical JSON.  It has no gate and no bound; the times
@@ -13,7 +13,7 @@ depend on the host.
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 scripts/scale_phases.py [--repeat 3] [--large]
+    PYTHONPATH=src python3 scripts/scale_phases.py [--large]
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from matroid_interdiction.instances import dump_solution
 from matroid_interdiction.interdiction import naive_solution, removal_gains
 from matroid_interdiction.parametric import CoincidentEqualityPointsWarning
 
+REPEAT = 3  # runs per phase; the best is kept
+
 
 def scale_instance(n: int, m: int) -> MatroidInstance:
     rng = random.Random(7)
@@ -55,21 +57,21 @@ def scale_instance(n: int, m: int) -> MatroidInstance:
                            ParamInterval.closed(-10, 10), f"scale-{m}")
 
 
-def best_of(repeat: int, phase, *args):
-    """The last result of ``phase(*args)`` and its best wall time over ``repeat`` runs."""
+def best_of(phase, *args):
+    """The last result of ``phase(*args)`` and its best wall time over ``REPEAT`` runs."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         started = time.perf_counter()
         result = phase(*args)
         best = min(best, time.perf_counter() - started)
     return result, round(best, 4)
 
 
-def measure(inst: MatroidInstance, repeat: int) -> dict:
-    schedule, sweep_s = best_of(repeat, parametric_min_basis, inst)
-    gains, gains_s = best_of(repeat, removal_gains, inst, schedule)
-    sol, tail_s = best_of(repeat, naive_solution, inst, schedule, gains)
-    candidates, candidates_s = best_of(repeat, find_candidates, inst, schedule.points)
+def measure(inst: MatroidInstance) -> dict:
+    schedule, sweep_s = best_of(parametric_min_basis, inst)
+    gains, gains_s = best_of(removal_gains, inst, schedule)
+    sol, tail_s = best_of(naive_solution, inst, schedule, gains)
+    candidates, candidates_s = best_of(find_candidates, inst, schedule.points)
     dumped = json.dumps(dump_solution(inst, sol, {}), sort_keys=True, separators=(",", ":"))
     return {
         "instance": inst.name,
@@ -88,7 +90,6 @@ def measure(inst: MatroidInstance, repeat: int) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3, help="runs per phase; the best is kept")
     parser.add_argument("--large", action="store_true", help="also run m = 1000 (n = 60)")
     args = parser.parse_args()
     warnings.simplefilter("ignore", CoincidentEqualityPointsWarning)
@@ -97,7 +98,7 @@ def main() -> None:
     if args.large:
         cases.append(scale_instance(60, 1000))
     for inst in cases:
-        print(json.dumps(measure(inst, args.repeat)), flush=True)
+        print(json.dumps(measure(inst)), flush=True)
 
 
 if __name__ == "__main__":

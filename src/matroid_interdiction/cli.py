@@ -112,17 +112,14 @@ def _overfull_window(sol, lambdas, k) -> list[Fraction] | None:
     """The slope changes of the first candidate window holding more than k - 1.
 
     One merge walk: a cut above ``j`` candidate values lies in window ``j``,
-    unless it equals the next value.  Values are compared as integer
-    ``(numerator, denominator)`` pairs, by cross-multiplication.
+    unless it equals the next value.
     """
-    ratios = [lam.as_integer_ratio() for lam in lambdas]
     windows: dict[int, list[Fraction]] = {}
     j = 0
     for cut in sol.value.cuts:
-        p, q = cut.as_integer_ratio()
-        while j < len(ratios) and ratios[j][0] * q < p * ratios[j][1]:
+        while j < len(lambdas) and lambdas[j] < cut:
             j += 1
-        if j == len(ratios) or ratios[j] != (p, q):
+        if j == len(lambdas) or lambdas[j] != cut:
             windows.setdefault(j, []).append(cut)
     return next((cuts for cuts in windows.values() if len(cuts) > k - 1), None)
 

@@ -216,18 +216,8 @@ class CandidateSet:
     entries: tuple[CandidateEntry, ...]
 
     def lambdas(self) -> list[Fraction]:
-        """The distinct candidate values, in order (the entries are sorted).
-
-        Neighbouring values are compared by identity, then as integer
-        ``(numerator, denominator)`` pairs, as in :func:`find_candidates`.
-        """
-        out: list[Fraction] = []
-        for entry in self.entries:
-            lam = entry.point.lam
-            if not out or (lam is not out[-1]
-                           and lam.as_integer_ratio() != out[-1].as_integer_ratio()):
-                out.append(lam)
-        return out
+        """The distinct candidate values, in order (the entries are sorted)."""
+        return [lam for lam, _ in groupby(entry.point.lam for entry in self.entries)]
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -306,13 +306,12 @@ def advance_min_basis(
     ``group`` holds every crossing at that value, in the order they are
     walked: a coincident bundle must come in :func:`perturbed_bundle_order`,
     which makes every step an ordinary isolated crossing of the perturbed
-    instance.  A lone crossing needs a single independence test (the sweep
-    walks those inline and sends only bundles here).  A bundle's
-    result is verified, as a hard internal invariant, against a fresh greedy
-    run on the keys ``right_order_at(value)`` (such as
+    instance.  The sweep walks lone crossings inline and sends only bundles
+    here.  The result is verified, as a hard internal invariant, against a
+    fresh greedy run on the keys ``right_order_at(value)`` (such as
     :meth:`MatroidInstance.right_order_at`), the order just right of the
-    value; lone crossings never ask for them.  Returns the basis after the
-    value and each applied exchange as ``(out, in_, after)``.
+    value, so a walk that loses or misorders crossings raises.  Returns the
+    basis after the value and each applied exchange as ``(out, in_, after)``.
     """
     swaps: list[tuple[int, int, frozenset[int]]] = []
     for pt in group:
@@ -321,13 +320,12 @@ def advance_min_basis(
         if swapped is not None:
             basis = swapped
             swaps.append((e, f, basis))
-    if len(group) > 1:
-        fresh = view.greedy_min_basis(right_order_at(group[0].lam))
-        if fresh != basis:
-            raise AssertionError(
-                f"bundle at {group[0].lam}: perturbed-order swaps ended at "
-                f"{sorted(basis)} but the optimum is {sorted(fresh)}"
-            )
+    fresh = view.greedy_min_basis(right_order_at(group[0].lam))
+    if fresh != basis:
+        raise AssertionError(
+            f"bundle at {group[0].lam}: perturbed-order swaps ended at "
+            f"{sorted(basis)} but the optimum is {sorted(fresh)}"
+        )
     return basis, swaps
 
 

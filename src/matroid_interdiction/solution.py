@@ -96,8 +96,7 @@ def build_solution(inst: MatroidInstance, labeled: PWLFunction) -> Solution:
                 f"{inst.sums_line(identity)}"
             )
         last = segments[-1] if segments else None
-        if (last is not None and (last.value is line or last.value == line)
-                and last.most_vital == most_vital):
+        if last is not None and last.value == line and last.most_vital == most_vital:
             segments[-1] = replace(last, window=ParamInterval(last.window.lo, hi))
         else:
             segments.append(

@@ -4,7 +4,8 @@
 ``(numerator, denominator)`` pairs, so it groups equal values that are
 different objects too.  :func:`reference_min_basis` is the plain sweep that
 sends every crossing value, lone or not, through
-:func:`.perturbed_bundle_order` and :func:`.advance_min_basis`.
+:func:`.perturbed_bundle_order` and :func:`.advance_min_basis`, greedy
+check included.
 :func:`reference_removal_gains` replays the schedule's walk and hands every
 crossing with both ends outside the basis to the replacement rule, without
 asking whether any member holds its e, and builds one line per recorded

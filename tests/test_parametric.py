@@ -175,6 +175,19 @@ class TestParametricMinBasis:
         with pytest.raises(AssertionError, match="bundle at 1/3: perturbed-order swaps"):
             parametric_min_basis(inst)
 
+    def test_a_bundle_walk_cut_to_one_crossing_still_raises(self, monkeypatch):
+        # U(1, 3) with slopes 1, 0, -1 through one point: the bundle at 0
+        # moves the basis from {0} to {2}, which one crossing cannot do.
+        inst = MatroidInstance(UniformMatroid(3, 1),
+                               (LinearFn(0, 1), LinearFn(0, 0), LinearFn(0, -1)),
+                               ParamInterval.closed(-1, 1))
+        parametric_min_basis(inst)
+        ordered = parametric.perturbed_bundle_order
+        monkeypatch.setattr(parametric, "perturbed_bundle_order",
+                            lambda group, slopes: ordered(group, slopes)[:1])
+        with pytest.raises(AssertionError, match="bundle at 0: perturbed-order swaps"):
+            parametric_min_basis(inst)
+
 
 def tie_heavy_instances() -> list[MatroidInstance]:
     """Instances whose crossings pile up on few values, with their doubles."""
