@@ -4,12 +4,12 @@ Builds acceptance criterion 10's instance shape (a Hamiltonian cycle on n
 nodes plus random chords, integer coefficients in [-10**6, 10**6], the
 interval [-10, 10], ``random.Random(7)``) at m = 200 and 500 (n = 30), the
 doubled m = 200 instance (400 elements, every crossing value a bundle) and,
-with ``--large``, m = 1000 (n = 60).  For each it prints one JSON line: the
-best of ``REPEAT`` wall times of the sweep (``parametric_min_basis``,
-crossing enumeration included), ``removal_gains``, the naive tail
-(``naive_solution``) and ``find_candidates``, a few counts, and the sha256
-of the solution's canonical JSON.  It has no gate and no bound; the times
-depend on the host.
+with ``--large``, m = 1000 (n = 60) and the doubled m = 500 instance (1,000
+elements).  For each it prints one JSON line: the best of ``REPEAT`` wall
+times of the sweep (``parametric_min_basis``, crossing enumeration included),
+``removal_gains``, the naive tail (``naive_solution``) and
+``find_candidates``, a few counts, and the sha256 of the solution's
+canonical JSON.  It has no gate and no bound; the times depend on the host.
 
 Usage, from the repository root:
 
@@ -90,13 +90,14 @@ def measure(inst: MatroidInstance) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--large", action="store_true", help="also run m = 1000 (n = 60)")
+    parser.add_argument("--large", action="store_true",
+                        help="also run m = 1000 (n = 60) and the doubled m = 500")
     args = parser.parse_args()
     warnings.simplefilter("ignore", CoincidentEqualityPointsWarning)
-    small = scale_instance(30, 200)
-    cases = [small, scale_instance(30, 500), doubled_instance(small)]
+    small, medium = scale_instance(30, 200), scale_instance(30, 500)
+    cases = [small, medium, doubled_instance(small)]
     if args.large:
-        cases.append(scale_instance(60, 1000))
+        cases += [scale_instance(60, 1000), doubled_instance(medium)]
     for inst in cases:
         print(json.dumps(measure(inst)), flush=True)
 

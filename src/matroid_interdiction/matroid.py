@@ -54,27 +54,6 @@ class ColoopError(ValueError):
         super().__init__(f"coloop elements present: {names}")
 
 
-class _DisjointSet:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-
 @dataclass(frozen=True)
 class GraphicMatroid:
     """Edge set of a multigraph; independent sets are the acyclic subsets.
@@ -347,23 +326,21 @@ class MatroidView:
         """The share-a-circuit partition of the element ids, from one basis.
 
         The fundamental circuits of a single basis generate the whole
-        relation, so uniting their members suffices.  The builder names each
-        as it rejects the element: the circuit inside the basis taken so far
-        is the one inside the final basis.  No solver calls it; it
-        remains because ``perfbench/tracer.py`` looks it up by name, and goes
-        once the benchmark drops that target (ROADMAP item 5).
+        relation, so merging the classes of each circuit's members suffices.
+        The builder names each circuit as it rejects the element: the circuit
+        inside the basis taken so far is the one inside the final basis.  No
+        solver calls it; it remains because ``perfbench/tracer.py`` looks it
+        up by name, and goes once the benchmark drops that target (ROADMAP
+        item 5).
         """
         ground = range(self.backend.size)
         builder = self.backend.builder()
-        dsu = _DisjointSet(len(ground))
+        class_of = {e: frozenset((e,)) for e in ground}
         for f in ground:
             if not builder.add(f):
-                for g in builder.circuit(f):
-                    dsu.union(f, g)
-        members: dict[int, set[int]] = {}
-        for e in ground:
-            members.setdefault(dsu.find(e), set()).add(e)
-        return frozenset(map(frozenset, members.values()))
+                merged = frozenset().union(*(class_of[g] for g in builder.circuit(f)))
+                class_of.update(dict.fromkeys(merged, merged))
+        return frozenset(class_of.values())
 
     def replacement_element(
         self, basis: frozenset[int], e: int, weight_at: WeightAt

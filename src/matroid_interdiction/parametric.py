@@ -12,12 +12,15 @@ id, which makes every step an isolated crossing of the perturbed instance.
 This sweep is the only code that puts bundles in that order; it records the
 crossings as walked in :attr:`BasisSchedule.walk`, which the removal sweep in
 :mod:`.interdiction` replays instead of tracking the main basis itself.
-After each bundle the basis is checked once against a fresh greedy run in
-the order just right of the bundle's value, so a degenerate bundle can never
-silently corrupt the schedule.  The sweep groups the crossings by value once,
-by the identity of their shared ``Fraction`` (see :func:`interior_crossings`),
-and walks a lone crossing inline: it can swap only a basis member for a
-non-member, so any other costs a membership test and no independence test.
+A bundle in which no crossing joins a member of the basis to a non-member
+is certified and not advanced: by Edmonds' cycle rule its basis stays
+minimum and no step of its walk would swap.  After every other bundle the
+basis is checked once against a fresh greedy run in the order just right of
+the bundle's value, so a degenerate bundle can never silently corrupt the
+schedule.  The sweep groups the crossings by value once, by the identity of
+their shared ``Fraction`` (see :func:`interior_crossings`), and walks a lone
+crossing inline: it can swap only a basis member for a non-member, so any
+other costs a membership test and no independence test.
 
 Orders, crossings and basis lines are computed on the instance's weight lines
 scaled to integers (:meth:`MatroidInstance.order_at`,
@@ -306,9 +309,10 @@ def advance_min_basis(
     ``group`` holds every crossing at that value, in the order they are
     walked: a coincident bundle must come in :func:`perturbed_bundle_order`,
     which makes every step an ordinary isolated crossing of the perturbed
-    instance.  The sweep walks lone crossings inline and sends only bundles
-    here.  The result is verified, as a hard internal invariant, against a
-    fresh greedy run on the keys ``right_order_at(value)`` (such as
+    instance.  The sweep walks lone crossings inline and sends here only the
+    bundles that join a member of the basis to a non-member.  The result is
+    verified, as a hard internal invariant, against a fresh greedy run on
+    the keys ``right_order_at(value)`` (such as
     :meth:`MatroidInstance.right_order_at`), the order just right of the
     value, so a walk that loses or misorders crossings raises.  Returns the
     basis after the value and each applied exchange as ``(out, in_, after)``.
@@ -357,9 +361,16 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
     """Sweep the crossings and report every optimal basis with its window.
 
     Refuses coloops and rank 0, through :func:`checked_view`, before it
-    enumerates, so that all solvers fail uniformly on them.  The assembled
-    value function is asserted concave (strictly decreasing slopes); a
-    violation would mean a sweep bug.
+    enumerates, so that all solvers fail uniformly on them.  A bundle that
+    joins no member of the basis just left of its value to a non-member is
+    ordered and put in ``walk`` but keeps the basis with no test: just left
+    of the value each non-member comes after every member on its
+    fundamental circuit (Edmonds' cycle rule), and only the pairs crossing
+    there change order.  The certificate reads the value's crossings in
+    ``points``, not the walked order, so a walk that loses a crossing still
+    meets the greedy check.  The assembled value function is asserted
+    concave (strictly decreasing slopes); a violation would mean a sweep
+    bug.
     """
     view = checked_view(inst)
     points = all_equality_points(inst)
@@ -396,6 +407,9 @@ def parametric_min_basis(inst: MatroidInstance) -> BasisSchedule:
                 i += 1
             group = perturbed_bundle_order(points[start:i], inst.scaled.b)
             walk += group
+            if all((pt.lighter_before in basis) == (pt.lighter_after in basis)
+                   for pt in points[start:i]):
+                continue
             basis, applied = advance_min_basis(view, basis, group, inst.right_order_at)
             if not applied:
                 continue

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -441,6 +442,86 @@ class TestCheck:
         lines = capsys.readouterr().out.splitlines()
         name = "swap partners agree at every breakpoint"
         assert f"{name:<{CHECK_WIDTH}}  FAIL  (at 3/2: e3 vs e2)" in lines
+        assert sum("FAIL" in line for line in lines) == 1
+
+    def test_a_convex_optimum_fails_the_concavity_check(
+        self, instance_file, capsys, monkeypatch
+    ):
+        import matroid_interdiction.cli as cli_module
+
+        # C4P's optimum, 3 + 2 lam and then 6, bends at 3/2; negated, it is
+        # convex there.  The naive solution is built on the true schedule.
+        def negated(inst):
+            schedule = parametric_min_basis(inst)
+            value = schedule.value
+            convex = PWLFunction.build(
+                value.domain, value.cuts, [LinearFn(-p.a, -p.b) for p in value.pieces]
+            )
+            return replace(schedule, value=convex)
+
+        monkeypatch.setattr(cli_module, "parametric_min_basis", negated)
+        monkeypatch.setattr(
+            cli_module, "naive_solution",
+            lambda inst, _, gains: interdiction.naive_solution(
+                inst, parametric_min_basis(inst), gains),
+        )
+        assert main(["check", "--in", instance_file(C4P)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        name = "optimal value function concave"
+        assert f"{name:<{CHECK_WIDTH}}  FAIL  (slope does not drop at 3/2)" in lines
+
+    def test_a_vital_element_outside_the_basis_fails_its_check(
+        self, instance_file, capsys, monkeypatch
+    ):
+        import matroid_interdiction.cli as cli_module
+
+        # C4P's first segment, [0, 1/2], has basis {e0, e1, e3}.
+        def outsider_first(inst, schedule, gains):
+            sol = interdiction.naive_solution(inst, schedule, gains)
+            first = replace(sol.segments[0], most_vital=2)
+            return replace(sol, segments=(first, *sol.segments[1:]))
+
+        monkeypatch.setattr(cli_module, "naive_solution", outsider_first)
+        assert main(["check", "--in", instance_file(C4P)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        name = "most vital element lies in the optimal basis"
+        assert f"{name:<{CHECK_WIDTH}}  FAIL  (at 1/4: e2 not in basis)" in lines
+
+    def test_a_spot_check_off_the_solution_fails_the_vital_check(
+        self, instance_file, capsys, monkeypatch
+    ):
+        import matroid_interdiction.cli as cli_module
+        from matroid_interdiction import oracle
+
+        # The interdicted optimum at 1/4, the first segment's point, is 6.
+        def one_too_high(inst, lam):
+            value, vital = oracle.interdict_at(inst, lam)
+            return value + 1, vital
+
+        monkeypatch.setattr(cli_module, "interdict_at", one_too_high)
+        assert main(["check", "--in", instance_file(C4P)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        name = "most vital element lies in the optimal basis"
+        assert f"{name:<{CHECK_WIDTH}}  FAIL  (at 1/4: 7 vs 6)" in lines
+        assert sum("FAIL" in line for line in lines) == 1
+
+    def test_a_shifted_double_fails_the_doubled_check(
+        self, instance_file, capsys, monkeypatch
+    ):
+        import matroid_interdiction.cli as cli_module
+
+        # Only the double goes through solve_naive; its optimum moves up by 1.
+        def shifted(inst):
+            sol = solve_naive(inst)
+            value = sol.value
+            return replace(sol, value=PWLFunction.build(
+                value.domain, value.cuts, [LinearFn(p.a + 1, p.b) for p in value.pieces]))
+
+        monkeypatch.setattr(cli_module, "solve_naive", shifted)
+        assert main(["check", "--in", instance_file(C4P)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        name = "doubled instance reproduces the optimal value function"
+        assert f"{name:<{CHECK_WIDTH}}  FAIL  (values differ at 3/2)" in lines
         assert sum("FAIL" in line for line in lines) == 1
 
 

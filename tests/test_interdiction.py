@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -19,6 +20,7 @@ from matroid_interdiction import (
     PWLFunction,
     UniformMatroid,
     all_equality_points,
+    compare,
     doubled_graphic_instance,
     doubled_instance,
     find_candidates,
@@ -36,6 +38,7 @@ from matroid_interdiction.cli import _run_checks
 from matroid_interdiction.instances import dump_solution
 from matroid_interdiction.parametric import CoincidentEqualityPointsWarning, interior_crossings
 from matroid_interdiction.rationals import extended, interior_point
+from matroid_interdiction.solution import build_solution
 from randinst import (
     parallel_classes,
     prime_graphic,
@@ -82,10 +85,24 @@ class TestRemovalValueFunctions:
             removal_value_functions(bridge, parametric_min_basis(bridge))
 
     def test_bundles_cost_one_greedy_check_each(self, monkeypatch):
-        # Coincident crossings take the lone-crossing path: one greedy run for
-        # the start basis and one check per bundle.  The removal sweep runs
-        # none: it starts from replacement scans.
+        # One greedy run for the start basis and one check per bundle that
+        # joins a member of the basis just left of it to a non-member; a
+        # bundle that joins none is certified without a walk.  The removal
+        # sweep runs none: it starts from replacement scans.
         inst = random_graphic(random.Random(109), n_range=(6, 6), m_max=12, coeff=2)
+        schedule = parametric_min_basis(inst)
+        per_value: dict[Fraction, list] = {}
+        for pt in schedule.points:
+            per_value.setdefault(pt.lam, []).append(pt)
+        bundles = [group for group in per_value.values() if len(group) > 1]
+
+        def joins(group):
+            left = schedule.bases[bisect_left(schedule.cuts, group[0].lam)]
+            return any((pt.lighter_before in left) != (pt.lighter_after in left)
+                       for pt in group)
+
+        joining = sum(map(joins, bundles))
+        assert 0 < joining < len(bundles)
         greedy = MatroidView.greedy_min_basis
         calls = []
 
@@ -95,10 +112,7 @@ class TestRemovalValueFunctions:
 
         monkeypatch.setattr(MatroidView, "greedy_min_basis", counted)
         removal_value_functions(inst, parametric_min_basis(inst))
-        per_value = Counter(pt.lam for pt in all_equality_points(inst))
-        bundles = sum(1 for count in per_value.values() if count > 1)
-        assert bundles > 0
-        assert len(calls) == 1 + bundles
+        assert len(calls) == 1 + joining
 
     def test_matches_per_point_bruteforce(self):
         rng = random.Random(71)
@@ -161,6 +175,22 @@ class TestSolveNaive:
             "[1/2, 2]", LinearFn(5, 2), 0)
         # the plain optimum breaks at 3/2 but the interdicted one does not
         assert sol.value.cuts == (Fraction(1, 2),)
+
+    def test_a_label_only_cut_widens_the_segment(self):
+        # U(1, 3): the member e1 has a zero-gain twin e2 beside the outsider
+        # e0, so every gain is 0.  Labels e0 and e1 across a cut at 1 both
+        # resolve to e1 with the line 0, and the second piece widens the
+        # first segment.
+        inst = MatroidInstance(UniformMatroid(3, 1),
+                               (LinearFn(1, 0), LinearFn(0, 0), LinearFn(0, 0)),
+                               ParamInterval.closed(0, 2))
+        zero = LinearFn(0, 0)
+        labeled = PWLFunction.build(inst.interval, [Fraction(1)], [zero, zero], [0, 1])
+        sol = build_solution(inst, labeled)
+        (seg,) = sol.segments
+        assert (str(seg.window), seg.value, seg.most_vital) == ("[0, 2]", zero, 1)
+        assert seg.basis == {1} and seg.replacement == 2
+        assert compare(sol, solve_bruteforce(inst)).ok
 
     def test_constant_c4_single_segment(self, c4):
         sol = solve_naive(c4)
