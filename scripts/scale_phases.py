@@ -8,8 +8,9 @@ with ``--large``, m = 1000 (n = 60) and the doubled m = 500 instance (1,000
 elements).  For each it prints one JSON line: the best of ``REPEAT`` wall
 times of the sweep (``parametric_min_basis``, crossing enumeration included),
 ``removal_gains``, the naive tail (``naive_solution``) and
-``find_candidates``, a few counts, and the sha256 of the solution's
-canonical JSON.  It has no gate and no bound; the times depend on the host.
+``find_candidates``, a few counts, the tracemalloc peak of one more, untimed
+sweep (``sweep_peak_mib``), and the sha256 of the solution's canonical JSON.
+It has no gate and no bound; the times depend on the host.
 
 Usage, from the repository root:
 
@@ -22,6 +23,7 @@ import argparse
 import json
 import random
 import time
+import tracemalloc
 import warnings
 from hashlib import sha256
 
@@ -72,6 +74,10 @@ def measure(inst: MatroidInstance) -> dict:
     gains, gains_s = best_of(removal_gains, inst, schedule)
     sol, tail_s = best_of(naive_solution, inst, schedule, gains)
     candidates, candidates_s = best_of(find_candidates, inst, schedule.points)
+    tracemalloc.start()
+    parametric_min_basis(inst)
+    sweep_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     dumped = json.dumps(dump_solution(inst, sol, {}), sort_keys=True, separators=(",", ":"))
     return {
         "instance": inst.name,
@@ -84,6 +90,7 @@ def measure(inst: MatroidInstance) -> dict:
         "removal_gains_s": gains_s,
         "naive_tail_s": tail_s,
         "find_candidates_s": candidates_s,
+        "sweep_peak_mib": round(sweep_peak / 2**20, 4),
         "solution_sha256": sha256(dumped.encode()).hexdigest(),
     }
 

@@ -67,18 +67,25 @@ def _check_list(data: Any, path: str):
         raise _fail(path, f"expected a list, got {type(data).__name__}")
 
 
+def _line(a: Any, b: Any, path: str) -> LinearFn:
+    return LinearFn(_as_rational(a, f"{path}.a"), _as_rational(b, f"{path}.b"))
+
+
 def _parse_weight(data: Any, path: str) -> LinearFn:
     _check_keys(data, {"a", "b"}, {"a", "b"}, path)
-    return LinearFn(_as_rational(data["a"], f"{path}.a"), _as_rational(data["b"], f"{path}.b"))
+    return _line(data["a"], data["b"], path)
+
+
+def _window(lo: Any, hi: Any, path: str) -> ParamInterval:
+    lo, hi = _as_extended(lo, f"{path}.lo"), _as_extended(hi, f"{path}.hi")
+    if not lo < hi:
+        raise _fail(path, f"interval lo={lo}, hi={hi} is empty or a single point")
+    return ParamInterval(lo, hi)
 
 
 def _parse_interval(data: Any, path: str) -> ParamInterval:
     _check_keys(data, {"lo", "hi"}, {"lo", "hi"}, path)
-    lo = _as_extended(data["lo"], f"{path}.lo")
-    hi = _as_extended(data["hi"], f"{path}.hi")
-    if not lo < hi:
-        raise _fail(path, f"interval lo={lo}, hi={hi} is empty or a single point")
-    return ParamInterval(lo, hi)
+    return _window(data["lo"], data["hi"], path)
 
 
 def parse_instance(data: Any, path: str = "instance") -> MatroidInstance:
@@ -111,7 +118,7 @@ def parse_instance(data: Any, path: str = "instance") -> MatroidInstance:
             if u >= nodes or v >= nodes:
                 raise _fail(epath, f"node index out of range [0, {nodes})")
             edges.append((u, v))
-            weights.append(_parse_weight({"a": item["a"], "b": item["b"]}, epath))
+            weights.append(_line(item["a"], item["b"], epath))
         backend = GraphicMatroid(nodes, tuple(edges))
         interval = _parse_interval(data["interval"], f"{path}.interval")
         return MatroidInstance(backend, tuple(weights), interval, name)
@@ -238,7 +245,7 @@ def parse_solution(data: Any, path: str = "solution") -> tuple[str, Solution, di
             item, {"lo", "hi", "value", "most_vital", "basis", "replacement"},
             {"lo", "hi", "value", "most_vital", "basis", "replacement"}, spath,
         )
-        window = _parse_interval({"lo": item["lo"], "hi": item["hi"]}, spath)
+        window = _window(item["lo"], item["hi"], spath)
         value = _parse_weight(item["value"], f"{spath}.value")
         _check_list(item["basis"], f"{spath}.basis")
         segments.append(

@@ -1,20 +1,25 @@
 """Brute-force reference solver and solution comparator.
 
 This module is the trust anchor: it never touches the sweep machinery in
-:mod:`.interdiction` or the greedy kernels (only the backends' builders, the
-envelope primitives and the shared interdiction precondition), and it
-deliberately considers every element as an interdiction target in every
-window instead of exploiting the fact that only basis members matter.
-A disagreement with the fast solvers therefore localizes bugs in whichever
-structural shortcut they rely on.  At each point the ground set is sorted
-once by (weight, id), and each deletion's optimum is grown by a fresh
-builder over that order with the deleted element skipped: that is greedy on
-the restriction in the order it inherits (Edmonds, 1971).
+:mod:`.parametric` and :mod:`.interdiction`, and it deliberately considers
+every element as an interdiction target in every window instead of
+exploiting the fact that only basis members matter.  A disagreement with
+the fast solvers therefore localizes bugs in whichever structural shortcut
+they rely on.  At each point the ground set is sorted once by (weight, id),
+and each deletion's optimum is grown by a fresh builder over that order with
+the deleted element skipped: that is greedy on the restriction in the order
+it inherits (Edmonds, 1971).
 
-:func:`compare` is exact: it probes every value cut and finite segment end of
-both solutions, a point past each infinite end, then every gap's midpoint.
-No value or segment line bends between two probes, and each segment owns
-two probes per gap, so agreeing at the probes is agreeing everywhere.
+It shares exactly this with the solvers, besides the precondition
+:func:`.checked_view`:
+
+* the backends' builders, for the deletion optima; its crossing enumeration
+  is its own, every pair's :func:`.equality_point` in ``Fraction``;
+* :func:`.envelope_of_pwl` and :meth:`.PWLFunction.build`;
+* :meth:`.MatroidInstance.basis_line`, over :attr:`.MatroidInstance.scaled`;
+* :func:`.build_solution`, with its greedy kernel and replacement scans.
+
+Of these, :func:`interdict_at` uses only the builders.  :func:`compare` is exact.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import Iterator
 
 from .matroid import Backend, WeightAt
 from .parametric import MatroidInstance, checked_view
-from .pwl import envelope_of_lines, equality_point, pwl_equal, PWLFunction
-from .rationals import ParamInterval, extended
+from .pwl import LinearFn, PWLFunction, envelope_of_pwl, equality_point, pwl_equal
+from .rationals import extended, interior_point
 from .solution import Solution, build_solution
 
 
@@ -59,12 +64,13 @@ def interdict_at(inst: MatroidInstance, lam: Fraction) -> tuple[Fraction, int]:
 
 
 def solve_bruteforce(inst: MatroidInstance) -> Solution:
-    """Reference solution via per-window envelopes over all removals.
+    """Reference solution: the envelope of every element's removal optimum.
 
     Between two consecutive crossings no weight order changes, so each
     removal optimum is a single line there; the line is recovered from a
-    fresh greedy run at the window's interior point.  The window envelope
-    ranges over all elements, not just basis members.
+    fresh greedy run at the window's interior point.  Each removal optimum
+    goes through :meth:`PWLFunction.build`, which checks it continuous, and
+    the envelope ranges over all elements, not just basis members.
     """
     checked_view(inst)
     crossings = sorted(
@@ -78,23 +84,18 @@ def solve_bruteforce(inst: MatroidInstance) -> Solution:
     bounds = (
         [inst.interval.lo] + [extended(l) for l in crossings] + [inst.interval.hi]
     )
-
-    cuts: list[Fraction] = []
-    pieces = []
-    labels: list[int] = []
-    for i in range(len(bounds) - 1):
-        window = ParamInterval(bounds[i], bounds[i + 1])
-        weight_at = inst.weights_at(window.representative())
-        lines = [(e, inst.basis_line(b)) for e, b in _deletion_optima(inst.backend, weight_at)]
-        local = envelope_of_lines(lines, window)
-        if i > 0:
-            cuts.append(crossings[i - 1])
-        cuts += local.cuts
-        pieces += local.pieces
-        labels += local.labels
-
-    stitched = PWLFunction.build(inst.interval, cuts, pieces, labels)
-    return build_solution(inst, stitched)
+    # One line object per distinct deletion optimum, so equal lines meet by
+    # identity in the continuity checks and the envelope scales each once.
+    lines: dict[frozenset[int], LinearFn] = {}
+    pieces: list[list[LinearFn]] = [[] for _ in range(inst.m)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        weight_at = inst.weights_at(interior_point(lo, hi))
+        for e, basis in _deletion_optima(inst.backend, weight_at):
+            if basis not in lines:
+                lines[basis] = inst.basis_line(basis)
+            pieces[e].append(lines[basis])
+    optima = [(e, PWLFunction.build(inst.interval, crossings, p)) for e, p in enumerate(pieces)]
+    return build_solution(inst, envelope_of_pwl(optima, inst.interval))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ built one way: integer hull passes (:func:`upper_hull`), each over the lines
 of a window on which every input is a single line, fill one set of cut,
 piece and label lists, and one :meth:`PWLFunction.build` turns them into the
 result.  :func:`envelope_of_pwl` runs one pass per window between its
-inputs' cuts, the window solver one per run of windows, and
-:func:`envelope_of_lines`, which the oracle uses, a single pass.
+inputs' cuts, for the naive solver's removal gains and the oracle's removal
+optima, and the window solver one pass per run of windows;
+:func:`envelope_of_lines` is the one-window case of :func:`envelope_of_pwl`.
 :func:`pwl_sum` adds two functions on one domain, the naive solver's plain
 optimum to its envelope of removal gains.  Ties in
 value are broken by the smallest element id so the winning labels are
@@ -315,26 +316,13 @@ def scaled_line(line: LinearFn, scale: int) -> tuple[int, int]:
 def envelope_of_lines(
     lines: Sequence[tuple[int, LinearFn]], window: ParamInterval
 ) -> PWLFunction:
-    """Pointwise maximum of labeled lines, restricted to ``window``.
-
-    Value ties are resolved toward the smallest label.  The result is
-    normalized; the classic slope-ordered hull construction keeps the total
-    work at O(n log n).  The hull runs on the lines scaled to integers over
-    their common denominator (see :func:`upper_hull`).
-    """
+    """Pointwise maximum of labeled lines on ``window``: the one-window case of
+    :func:`envelope_of_pwl`, value ties resolved toward the smallest label."""
     if not lines:
         raise ValueError("need at least one line")
-    if not window.is_proper:
-        raise ValueError(f"degenerate window {window}")
-    scale = common_scale(line for _, line in lines)
-    lo = window.lo.value if window.lo.is_finite else None
-    hi = window.hi.value if window.hi.is_finite else None
-    cuts: list[Fraction] = []
-    pieces: list[LinearFn] = []
-    labels: list[int] = []
-    scaled = [(*scaled_line(line, scale), label, line) for label, line in lines]
-    upper_hull(scaled, lo, hi, cuts, pieces, labels, scale)
-    return PWLFunction.build(window, cuts, pieces, labels)
+    return envelope_of_pwl(
+        [(label, PWLFunction.from_line(window, line)) for label, line in lines], window
+    )
 
 
 def envelope_of_pwl(

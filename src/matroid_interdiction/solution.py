@@ -84,9 +84,10 @@ def build_solution(inst: MatroidInstance, labeled: PWLFunction) -> Solution:
         sums = inst.basis_sums(basis)
         most_vital = label
         assert most_vital is not None
-        if most_vital not in basis:
-            most_vital = _matching_basis_element(inst, view, basis, sums, line, order)
-        replacement = view.replacement_element(basis, most_vital, order)
+        if most_vital in basis:
+            replacement = view.replacement_element(basis, most_vital, order)
+        else:
+            most_vital, replacement = _matching_basis_element(inst, view, basis, sums, line, order)
         if replacement is None:
             raise AssertionError("replacement vanished on a coloop-free instance")
         identity = _exchanged(inst, sums, most_vital, replacement)
@@ -124,10 +125,11 @@ def _matching_basis_element(
     sums: BasisSums,
     line: LinearFn,
     order: Callable[[int], int],
-) -> int:
+) -> tuple[int, int]:
+    """The smallest basis element whose exchange has ``line``, and its replacement."""
     scale = inst.scaled.scale
     for e in sorted(basis):
         repl = view.replacement_element(basis, e, order)
         if repl is not None and _is_line(_exchanged(inst, sums, e, repl), scale, line):
-            return e
+            return e, repl
     raise AssertionError("no basis element matches the winning value line")

@@ -70,3 +70,48 @@ def test_parallel_classes_match_their_closed_form(solve, classes):
     rng = random.Random(classes)
     inst = parallel_classes(rng, [rng.randint(2, 6) for _ in range(classes)], coeff=4)
     assert_matches(solve(inst), parallel_value, inst)
+
+
+def uniform_label(inst, lam: Fraction) -> int:
+    """The most vital element of U(k, m): the lightest by (weight, id)."""
+    return min(range(inst.m), key=lambda e: (inst.weights[e](lam), e))
+
+
+def parallel_label(inst, lam: Fraction) -> int:
+    """The most vital element of parallel classes: the lightest edge, by
+    (weight, id), of a class with the largest second - lightest gap; the
+    smallest such edge id among tied classes."""
+    classes = defaultdict(list)
+    for e, (edge, line) in enumerate(zip(inst.backend.edges, inst.weights)):
+        classes[edge].append((line(lam), e))
+    lightest = [sorted(members)[:2] for members in classes.values()]
+    gap = max(second[0] - first[0] for first, second in lightest)
+    return min(first[1] for first, second in lightest if second[0] - first[0] == gap)
+
+
+def assert_labels(sol, reference, inst):
+    mismatches = [
+        seg.window for seg in sol.segments
+        if seg.most_vital != reference(inst, seg.window.representative())
+    ]
+    assert not mismatches, f"{len(mismatches)} segments differ, first on {mismatches[0]}"
+
+
+@pytest.mark.parametrize(
+    "solve, m, k",
+    [(solve_naive, 200, 20), (solve_intervals, 80, 12)],
+    ids=["naive", "intervals"],
+)
+def test_uniform_most_vital_is_the_lightest_element(solve, m, k):
+    tangent = tangent_uniform(m, k)
+    inst = replace(tangent, weights=tuple(random.Random(m).sample(tangent.weights, m)))
+    assert_labels(solve(inst), uniform_label, inst)
+
+
+@pytest.mark.parametrize(
+    "solve, classes", [(solve_naive, 60), (solve_intervals, 20)], ids=["naive", "intervals"]
+)
+def test_parallel_classes_most_vital_is_the_lightest_of_the_widest_gap(solve, classes):
+    rng = random.Random(classes)
+    inst = parallel_classes(rng, [rng.randint(2, 6) for _ in range(classes)], coeff=4)
+    assert_labels(solve(inst), parallel_label, inst)

@@ -192,6 +192,25 @@ class TestSolveNaive:
         assert seg.basis == {1} and seg.replacement == 2
         assert compare(sol, solve_bruteforce(inst)).ok
 
+    def test_a_non_member_label_scans_its_match_once(self, monkeypatch):
+        # The outsider e0 wins the tie, so the basis member e1 is matched
+        # with its replacement e2 in one scan, which the segment keeps.
+        inst = MatroidInstance(UniformMatroid(3, 1),
+                               (LinearFn(1, 0), LinearFn(0, 0), LinearFn(0, 0)),
+                               ParamInterval.closed(0, 2))
+        labeled = PWLFunction.build(inst.interval, [], [LinearFn(0, 0)], [0])
+        scans = []
+        replacement_element = MatroidView.replacement_element
+
+        def counted(self, basis, e, order):
+            scans.append(e)
+            return replacement_element(self, basis, e, order)
+
+        monkeypatch.setattr(MatroidView, "replacement_element", counted)
+        (seg,) = build_solution(inst, labeled).segments
+        assert (seg.most_vital, seg.replacement) == (1, 2)
+        assert scans == [1]
+
     def test_constant_c4_single_segment(self, c4):
         sol = solve_naive(c4)
         (seg,) = sol.segments

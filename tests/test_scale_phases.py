@@ -23,10 +23,11 @@ def test_measure_reports_every_phase_and_the_naive_solution_hash():
     assert set(row) == {
         "instance", "m", "crossings", "swaps", "segments", "candidates",
         "sweep_s", "removal_gains_s", "naive_tail_s", "find_candidates_s",
-        "solution_sha256",
+        "sweep_peak_mib", "solution_sha256",
     }
     assert (row["instance"], row["m"]) == ("scale-24", 24)
     sol = solve_naive(inst)
     dumped = json.dumps(dump_solution(inst, sol, {}), sort_keys=True, separators=(",", ":"))
     assert row["solution_sha256"] == sha256(dumped.encode()).hexdigest()
     assert row["segments"] == len(sol.segments)
+    assert row["sweep_peak_mib"] > 0
